@@ -18,24 +18,24 @@ from __future__ import annotations
 from stackelberg_search.blueprint import fixed_blueprint
 from stackelberg_search.efg import FOLLOWER
 from stackelberg_search.games import bounds_demo_game
-from stackelberg_search.response import best_response, compute_brvs, compute_trunk
-from stackelberg_search.search import compute_bounds, partition_subgames
+from stackelberg_search.search import partition_subgames, prepare_search
 
 
 def main():
     game = bounds_demo_game()
     blueprint = fixed_blueprint(game).plan
-    brvs = compute_brvs(game, blueprint)
-    response, follower_value, _ = best_response(game, blueprint, brvs)
-    trunk = compute_trunk(game, response)
     partition = partition_subgames(game, "metadata")
     tp2 = game.treeplex(FOLLOWER)
 
+    alphas = (0.0, 0.5, 1.0)
+    contexts = [prepare_search(game, blueprint, partition, alpha, 1.0)
+                for alpha in alphas]
+    follower_value = contexts[0].brvs.root_follower_value
+
     print(f"follower best-response value at the root: {follower_value:.2f}")
     print()
-    for alpha in (0.0, 0.5, 1.0):
-        bounds, trace = compute_bounds(game, brvs, trunk, partition,
-                                       alpha=alpha, beta=1.0)
+    for alpha, context in zip(alphas, contexts):
+        bounds, trace = context.bounds, context.trace
         print(f"--- alpha = {alpha} ---")
         print("visited follower sequences (direction, budget):")
         for seq, (direction, value) in sorted(trace.seq.items()):

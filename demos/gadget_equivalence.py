@@ -16,12 +16,10 @@ from __future__ import annotations
 from stackelberg_search.blueprint import fixed_blueprint
 from stackelberg_search.gadget import solve_via_gadget, transform_subgame
 from stackelberg_search.games import two_subgame_exit_game
-from stackelberg_search.response import best_response, compute_brvs, compute_trunk
 from stackelberg_search.search import (
     build_constrained_milp,
-    compute_bounds,
-    compute_subgame_quantities,
     partition_subgames,
+    prepare_search,
     solve_subgame,
 )
 
@@ -29,13 +27,9 @@ from stackelberg_search.search import (
 def main():
     game = two_subgame_exit_game()
     blueprint = fixed_blueprint(game).plan
-    brvs = compute_brvs(game, blueprint)
-    response, _, _ = best_response(game, blueprint, brvs)
-    trunk = compute_trunk(game, response)
     partition = partition_subgames(game, "metadata")
-    quantities = compute_subgame_quantities(game, partition, blueprint,
-                                            response)
-    bounds, _ = compute_bounds(game, brvs, trunk, partition, 0.5, 1.0)
+    context = prepare_search(game, blueprint, partition)
+    quantities, bounds = context.quantities, context.bounds
 
     for sub in partition:
         q = quantities[sub.index]
@@ -52,7 +46,7 @@ def main():
                   f"(bound budget)")
 
         model = build_constrained_milp(game, sub, q, bounds[sub.index],
-                                       blueprint, brvs)
+                                       blueprint, context.brvs)
         direct = solve_subgame(game, model, blueprint)
         via = solve_via_gadget(game, sub, q, bounds[sub.index])
         print(f"directly bounded program value: {direct.objective:.6f}")

@@ -25,6 +25,7 @@ from stackelberg_search.efg import (
     GameTree,
     RealizationPlan,
     behavioral_to_realization,
+    renormalize_flow,
     uniform_plan,
 )
 from stackelberg_search.solver import (
@@ -117,30 +118,12 @@ def zero_sum_blueprint(game: GameTree,
     plan = RealizationPlan(LEADER, np.clip(
         sol.assignment[: tp1.n_sequences], 0.0, 1.0))
     plan.check_flow(tp1, tol=1e-6)
-    _renormalize_flow(plan, game)
+    renormalize_flow(tp1, plan.probs)
+    plan.check_flow(tp1)
     return Blueprint(plan, "ZeroSumNE", {
         "game": game.metadata.get("name", "?"),
         "surrogate_value": sol.objective,
     })
-
-
-def _renormalize_flow(plan: RealizationPlan, game: GameTree) -> None:
-    """Scrub LP round-off so flow holds to full precision top-down."""
-    tp = game.treeplex(plan.owner)
-    plan.probs[0] = 1.0
-    for infoset in sorted(tp.infoset_ids, key=lambda i: tp.entry_seq[i]):
-        entry = plan.probs[tp.entry_seq[infoset]]
-        seqs = tp.actions_of(infoset)
-        total = sum(plan.probs[s] for s in seqs)
-        if total <= 0.0:
-            share = entry / len(seqs)
-            for s in seqs:
-                plan.probs[s] = share
-        else:
-            scale = entry / total
-            for s in seqs:
-                plan.probs[s] *= scale
-    plan.check_flow(tp)
 
 
 def stage_sse_blueprint(game: GameTree) -> Blueprint:

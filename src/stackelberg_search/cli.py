@@ -22,6 +22,7 @@ from stackelberg_search.efg import (
 from stackelberg_search.gadget import transform_subgame
 from stackelberg_search.games import generate, load_game, save_game
 from stackelberg_search.harness import (
+    SAFETY_TOL,
     ExperimentConfig,
     evaluate_leader,
     rows_to_csv,
@@ -30,16 +31,8 @@ from stackelberg_search.harness import (
     write_csv,
     write_timing_report,
 )
-from stackelberg_search.response import (
-    best_response,
-    compute_brvs,
-    compute_trunk,
-)
-from stackelberg_search.search import (
-    compute_bounds,
-    compute_subgame_quantities,
-    partition_subgames,
-)
+from stackelberg_search.response import best_response
+from stackelberg_search.search import partition_subgames, prepare_search
 from stackelberg_search.solver import SolverError
 
 SCHEMES = ("whole-game", "metadata", "explicit", "two-stage", "goofspiel",
@@ -168,7 +161,7 @@ def cmd_search(args) -> int:
     print(f"blueprint EV: {blueprint_ev:.9f}")
     print(f"search EV:    {search_ev:.9f}")
     if args.beta <= 1.0:
-        verdict = "holds" if search_ev >= blueprint_ev - 1e-6 else "VIOLATED"
+        verdict = "holds" if search_ev >= blueprint_ev - SAFETY_TOL else "VIOLATED"
         print(f"safety (search >= blueprint): {verdict}")
     else:
         print("bounds widened by beta > 1: potentially unsafe, "
@@ -185,15 +178,10 @@ def cmd_gadget(args) -> int:
               f"(partition has {len(partition)})", file=sys.stderr)
         return 2
     sub = partition.subgames[args.subgame]
-    brvs = compute_brvs(game, blueprint)
-    response, _, _ = best_response(game, blueprint, brvs)
-    trunk = compute_trunk(game, response)
-    quantities = compute_subgame_quantities(game, partition, blueprint,
-                                            response)
-    bounds, _ = compute_bounds(game, brvs, trunk, partition, args.alpha,
-                               args.beta)
-    gadget = transform_subgame(game, sub, quantities[sub.index],
-                               bounds[sub.index])
+    context = prepare_search(game, blueprint, partition, args.alpha,
+                             args.beta)
+    gadget = transform_subgame(game, sub, context.quantities[sub.index],
+                               context.bounds[sub.index])
     save_game(gadget.game, args.out)
     print(f"wrote {args.out}: gadget for subgame {args.subgame}, "
           f"{len(gadget.kept_initial)} entry states kept, "

@@ -82,6 +82,7 @@ class GameTree:
     def __post_init__(self) -> None:
         self._treeplexes: dict[int, "Treeplex"] = {}
         self._leaf_arrays = None
+        self._valid = False  # set by require_valid once validation passes
 
     # -- basic accessors -------------------------------------------------
 
@@ -248,9 +249,13 @@ def _check_perfect_recall(game: GameTree, report: ValidationReport) -> None:
 
 
 def require_valid(game: GameTree) -> None:
+    """Raise unless the game validates; a game that passed is not rechecked."""
+    if game._valid:
+        return
     report = validate_game(game)
     if not report.ok:
         raise GameError("invalid game: " + "; ".join(report.violations[:5]))
+    game._valid = True
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +283,20 @@ class Treeplex:
 
     node_seq[h] is the id of the player's sequence *on entering* node h (the
     actions taken at the player's own infosets strictly above h).
+
+    infoset_ids lists the infosets in DFS discovery order, which is top-down:
+    every infoset comes after the infoset whose action leads to it.  Walks
+    that need parents before children iterate it directly, and reversed it
+    puts children first.
     """
 
     owner: int
     sequences: list[Sequence]
-    infoset_ids: list[int]                      # this player's infosets, ordered
+    infoset_ids: list[int]                      # this player's infosets, top-down
     entry_seq: dict[int, int]                   # infoset id -> seq id of seq(I)
-    action_seq: dict[tuple[int, int], int]      # (infoset id, action idx) -> seq id
+    infoset_actions: dict[int, tuple[int, ...]]  # infoset id -> seq ids of its actions
     children_infosets: dict[int, list[int]]     # seq id -> infosets I with seq(I)=sigma
     node_seq: np.ndarray                        # per game node
-    infoset_depth: dict[int, int]               # recursion order helper
 
     @property
     def n_sequences(self) -> int:
@@ -296,23 +305,9 @@ class Treeplex:
     def seq_label(self, seq_id: int) -> str:
         return self.sequences[seq_id].label or "()"
 
-    def actions_of(self, infoset_id: int) -> list[int]:
-        """Sequence ids extending this infoset's entry sequence."""
-        seq = self.entry_seq[infoset_id]
-        count = len(self.action_seq)  # unused; kept simple below
-        del count
-        out = []
-        idx = 0
-        while (infoset_id, idx) in self.action_seq:
-            out.append(self.action_seq[(infoset_id, idx)])
-            idx += 1
-        assert out, f"infoset {infoset_id} has no actions"
-        assert self.sequences[out[0]].parent_seq == seq
-        return out
-
-    def infosets_bottom_up(self) -> list[int]:
-        """Infoset ids ordered so children (deeper) come before parents."""
-        return sorted(self.infoset_ids, key=lambda i: -self.infoset_depth[i])
+    def actions_of(self, infoset_id: int) -> tuple[int, ...]:
+        """Sequence ids extending this infoset's entry sequence, by action index."""
+        return self.infoset_actions[infoset_id]
 
 
 def build_treeplex(game: GameTree, player: int) -> Treeplex:
@@ -323,17 +318,16 @@ def build_treeplex(game: GameTree, player: int) -> Treeplex:
 
     sequences = [Sequence(0, player, None, None, None, "")]
     entry_seq: dict[int, int] = {}
-    action_seq: dict[tuple[int, int], int] = {}
+    infoset_actions: dict[int, tuple[int, ...]] = {}
     children_infosets: dict[int, list[int]] = {0: []}
     infoset_ids: list[int] = []
-    infoset_depth: dict[int, int] = {}
     node_seq = np.zeros(len(game.nodes), dtype=np.int64)
 
     # DFS in child order from the root; assign ids on first encounter of each
-    # (infoset, action).  Depth = number of own infosets on the path.
-    stack: list[tuple[int, int, int]] = [(game.root, 0, 0)]  # node, cur seq, depth
+    # (infoset, action).
+    stack: list[tuple[int, int]] = [(game.root, 0)]  # node, current seq
     while stack:
-        node_id, seq_id, depth = stack.pop()
+        node_id, seq_id = stack.pop()
         node_seq[node_id] = seq_id
         node = game.nodes[node_id]
         if node.is_terminal:
@@ -343,40 +337,34 @@ def build_treeplex(game: GameTree, player: int) -> Treeplex:
             if infoset not in entry_seq:
                 entry_seq[infoset] = seq_id
                 infoset_ids.append(infoset)
-                infoset_depth[infoset] = depth
                 children_infosets[seq_id].append(infoset)
+                first = len(sequences)
+                parent_label = sequences[seq_id].label
                 for idx, action in enumerate(game.infosets[infoset].actions):
-                    new_id = len(sequences)
-                    parent_label = sequences[seq_id].label
                     label = (parent_label + "/" if parent_label else "") + action
-                    sequences.append(Sequence(new_id, player, infoset, idx, seq_id, label))
-                    action_seq[(infoset, idx)] = new_id
-                    children_infosets[new_id] = []
+                    sequences.append(Sequence(first + idx, player, infoset,
+                                              idx, seq_id, label))
+                    children_infosets[first + idx] = []
+                infoset_actions[infoset] = tuple(range(first, len(sequences)))
             elif entry_seq[infoset] != seq_id:
                 # Perfect recall already validated; this is a belt-and-braces check.
                 raise GameError(f"infoset {infoset} entered with differing sequences")
+            seqs = infoset_actions[infoset]
             for idx in range(len(node.children) - 1, -1, -1):
-                child_seq = action_seq[(infoset, idx)]
-                stack.append((node.children[idx], child_seq, depth + 1))
+                stack.append((node.children[idx], seqs[idx]))
         else:
             for child in reversed(node.children):
-                stack.append((child, seq_id, depth))
+                stack.append((child, seq_id))
 
     return Treeplex(
         owner=player,
         sequences=sequences,
         infoset_ids=infoset_ids,
         entry_seq=entry_seq,
-        action_seq=action_seq,
+        infoset_actions=infoset_actions,
         children_infosets=children_infosets,
         node_seq=node_seq,
-        infoset_depth=infoset_depth,
     )
-
-
-def sequence_of(game: GameTree, node_id: int, player: int) -> int:
-    """The player's sequence id on entering the given node."""
-    return int(game.treeplex(player).node_seq[node_id])
 
 
 def payoff_tables(game: GameTree) -> dict[tuple[int, int], np.ndarray]:
@@ -436,6 +424,34 @@ class RealizationPlan:
                            | (np.abs(self.probs - 1.0) < tol)))
 
 
+def renormalize_flow(tp: Treeplex, probs, infosets: Optional[Iterable[int]] = None,
+                     heads: Iterable[int] = ()) -> None:
+    """Scrub round-off in place so flow holds exactly, top-down.
+
+    Each infoset's action probabilities are rescaled to sum to its entry
+    value, or set uniform when they sum to zero or less.  With no infosets
+    given the whole plan is scrubbed: probs[0] becomes 1 and every infoset
+    is visited.  Otherwise only the given infosets are, parents first; a head
+    enters with value 1, any other infoset with the scrubbed value of its
+    entry sequence.
+    """
+    if infosets is None:
+        probs[0] = 1.0
+        infosets = tp.infoset_ids
+    heads = set(heads)
+    for infoset in infosets:
+        entry = 1.0 if infoset in heads else probs[tp.entry_seq[infoset]]
+        seqs = tp.actions_of(infoset)
+        total = sum(probs[s] for s in seqs)
+        if total <= 0.0:
+            for s in seqs:
+                probs[s] = entry / len(seqs)
+        else:
+            scale = entry / total
+            for s in seqs:
+                probs[s] *= scale
+
+
 @dataclass
 class BehavioralStrategy:
     """Action distributions per infoset of one player."""
@@ -456,8 +472,7 @@ def behavioral_to_realization(game: GameTree, bs: BehavioralStrategy) -> Realiza
     tp = game.treeplex(bs.owner)
     probs = np.zeros(tp.n_sequences)
     probs[0] = 1.0
-    # entry_seq ids only grow along the treeplex, so process in id order.
-    for infoset in sorted(tp.infoset_ids, key=lambda i: tp.entry_seq[i]):
+    for infoset in tp.infoset_ids:
         entry = probs[tp.entry_seq[infoset]]
         dist = bs.probs[infoset]
         for idx, seq in enumerate(tp.actions_of(infoset)):

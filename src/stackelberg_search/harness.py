@@ -30,12 +30,9 @@ from stackelberg_search.efg import (
 )
 from stackelberg_search.gadget import solve_via_gadget
 from stackelberg_search.games import generate, load_game
-from stackelberg_search.response import (
-    best_response,
-    compute_brvs,
-    compute_trunk,
-)
+from stackelberg_search.response import best_response
 from stackelberg_search.search import (
+    NO_BOUNDS,
     BoundsMap,
     SubgamePartition,
     SubgameQuantities,
@@ -43,10 +40,9 @@ from stackelberg_search.search import (
     blueprint_local_plan,
     build_constrained_milp,
     build_full_milp,
-    compute_bounds,
-    compute_subgame_quantities,
     extract_leader_plan,
     partition_subgames,
+    prepare_search,
     solve_subgame,
 )
 from stackelberg_search.solver import (
@@ -57,10 +53,6 @@ from stackelberg_search.solver import (
 )
 
 SAFETY_TOL = 1e-6
-
-# Bounds are inert when the bound dictionary is empty, so the slack
-# parameters of this placeholder never matter.
-_NO_BOUNDS = BoundsMap({}, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +78,14 @@ def compose_strategy(game: GameTree, blueprint: RealizationPlan,
         local = local_plans.get(sub.index)
         if local is None:
             continue
-        inside = set(sub.infosets[LEADER])
+        heads = set(sub.heads[LEADER])
         scale: dict[int, float] = {}
-        for infoset in sorted(inside, key=lambda i: tp1.entry_seq[i]):
+        for infoset in sub.top_down[LEADER]:
             entry = tp1.entry_seq[infoset]
-            parent = tp1.sequences[entry].parent_infoset
-            if parent is None or parent not in inside:
+            if infoset in heads:
                 scale[infoset] = float(blueprint.probs[entry])
             else:
-                scale[infoset] = scale[parent]
+                scale[infoset] = scale[tp1.sequences[entry].parent_infoset]
             seqs = tp1.actions_of(infoset)
             if all(s in local for s in seqs):
                 for s in seqs:
@@ -152,19 +143,15 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
     also fall back to the blueprint there, which is what makes the whole
     procedure never worse than not searching.
     """
-    brvs = compute_brvs(game, blueprint)
-    response, _, _ = best_response(game, blueprint, brvs)
-    trunk = compute_trunk(game, response)
-    quantities = compute_subgame_quantities(game, partition, blueprint,
-                                            response)
-    bounds, _ = compute_bounds(game, brvs, trunk, partition, alpha, beta)
+    context = prepare_search(game, blueprint, partition, alpha, beta)
+    quantities, bounds = context.quantities, context.bounds
 
     def solve_one(sub) -> SubgameSolution:
         q = quantities[sub.index]
         if q.eta is None:
             return _skipped(game, sub, blueprint, "SkippedUnreachable")
         model = build_constrained_milp(game, sub, q, bounds[sub.index],
-                                       blueprint, brvs)
+                                       blueprint, context.brvs)
         return solve_subgame(game, model, blueprint, time_limit=time_limit)
 
     if workers > 1:
@@ -189,17 +176,14 @@ def naive_search(game: GameTree, blueprint: RealizationPlan,
     steer play and exploit it; this exists to demonstrate that failure
     mode, not to be used.
     """
-    brvs = compute_brvs(game, blueprint)
-    response, _, _ = best_response(game, blueprint, brvs)
-    quantities = compute_subgame_quantities(game, partition, blueprint,
-                                            response)
+    quantities = prepare_search(game, blueprint, partition).quantities
     local_plans: dict[int, Mapping[int, float]] = {}
     for sub in partition:
         q = quantities[sub.index]
         if q.eta is None:
             continue
         try:
-            refined = solve_via_gadget(game, sub, q, _NO_BOUNDS,
+            refined = solve_via_gadget(game, sub, q, NO_BOUNDS,
                                        time_limit=time_limit)
         except SolverError:
             continue

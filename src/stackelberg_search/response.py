@@ -82,8 +82,8 @@ def compute_brvs(game: GameTree, r_leader: RealizationPlan) -> BrvTable:
             lv += leader_inf[infoset]
         return fv, lv
 
-    # Children before parents: deeper infosets first.
-    for infoset in tp2.infosets_bottom_up():
+    # Children before parents.
+    for infoset in reversed(tp2.infoset_ids):
         choices = []
         for seq in tp2.actions_of(infoset):
             fv, lv = seq_value(seq)
@@ -118,7 +118,7 @@ def best_response(game: GameTree, r_leader: RealizationPlan,
     tp2 = game.treeplex(FOLLOWER)
     probs = np.zeros(tp2.n_sequences)
     probs[0] = 1.0
-    for infoset in sorted(tp2.infoset_ids, key=lambda i: tp2.entry_seq[i]):
+    for infoset in tp2.infoset_ids:
         if probs[tp2.entry_seq[infoset]] > 0.5:
             probs[brvs.best_action[infoset]] = 1.0
     plan = RealizationPlan(FOLLOWER, probs)

@@ -27,6 +27,7 @@ upper-bound constraints vacuous and the refinement unsafe.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,13 +39,16 @@ from stackelberg_search.efg import (
     GameError,
     GameTree,
     RealizationPlan,
+    renormalize_flow,
     uniform_plan,
 )
 from stackelberg_search.response import (
     NEG_INF,
     BrvTable,
     Trunk,
+    best_response,
     compute_brvs,
+    compute_trunk,
     enumerate_pure_plans,
 )
 from stackelberg_search.solver import (
@@ -74,6 +78,7 @@ class Subgame:
     terminals: tuple[int, ...]
     infosets: dict[int, tuple[int, ...]]  # player -> infoset ids inside
     heads: dict[int, tuple[int, ...]]     # player -> head infoset ids
+    top_down: dict[int, tuple[int, ...]]  # player -> inside ids, parents first
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,7 @@ def _build_subgame(game: GameTree, index: int, initial: list[int]) -> Subgame:
             member_infosets[node.player].add(node.infoset)
     infosets: dict[int, tuple[int, ...]] = {}
     heads: dict[int, tuple[int, ...]] = {}
+    top_down: dict[int, tuple[int, ...]] = {}
     for player in (LEADER, FOLLOWER):
         tp = game.treeplex(player)
         inside_set = member_infosets[player]
@@ -127,8 +133,12 @@ def _build_subgame(game: GameTree, index: int, initial: list[int]) -> Subgame:
                 head_list.append(infoset_id)
         infosets[player] = tuple(sorted(inside_set))
         heads[player] = tuple(sorted(head_list))
+        # Entry sequence ids grow down the treeplex.
+        top_down[player] = tuple(sorted(infosets[player],
+                                        key=tp.entry_seq.__getitem__))
     return Subgame(index=index, initial=tuple(sorted(initial)), nodes=nodes,
-                   terminals=terminals, infosets=infosets, heads=heads)
+                   terminals=terminals, infosets=infosets, heads=heads,
+                   top_down=top_down)
 
 
 def check_partition(game: GameTree, partition: SubgamePartition) -> None:
@@ -320,6 +330,11 @@ class BoundsMap:
     beta: float
 
 
+# Bounds are inert when the bound dictionary is empty, so the slack
+# parameters of this placeholder never matter.
+NO_BOUNDS = BoundsMap({}, 0.5, 1.0)
+
+
 @dataclass
 class BoundsTrace:
     """The lb/ub argument at every visited sequence and information set."""
@@ -422,6 +437,30 @@ def compute_bounds(game: GameTree, brvs: BrvTable, trunk: Trunk,
     return result, trace
 
 
+@dataclass
+class SearchContext:
+    """Everything the per-subgame solves need from the blueprint."""
+
+    brvs: BrvTable
+    response: RealizationPlan         # the follower's best response
+    quantities: list[SubgameQuantities]
+    bounds: dict[int, BoundsMap]
+    trace: BoundsTrace
+
+
+def prepare_search(game: GameTree, blueprint: RealizationPlan,
+                   partition: SubgamePartition, alpha: float = 0.5,
+                   beta: float = 1.0) -> SearchContext:
+    """Best-response values, response and trunk, subgame quantities, bounds."""
+    brvs = compute_brvs(game, blueprint)
+    response, _, _ = best_response(game, blueprint, brvs)
+    trunk = compute_trunk(game, response)
+    quantities = compute_subgame_quantities(game, partition, blueprint,
+                                            response)
+    bounds, trace = compute_bounds(game, brvs, trunk, partition, alpha, beta)
+    return SearchContext(brvs, response, quantities, bounds, trace)
+
+
 # ---------------------------------------------------------------------------
 # MILP assembly
 
@@ -458,16 +497,6 @@ class SubgameModel:
     leader_heads_entry: dict[int, int]  # leader infoset -> entry seq id
 
 
-def _local_leader_entry(tp, sub: Subgame, infoset: int,
-                        inside: set[int]) -> Optional[int]:
-    """The in-subgame leader sequence feeding this infoset (None for heads)."""
-    entry = tp.entry_seq[infoset]
-    parent = tp.sequences[entry].parent_infoset
-    if parent is None or parent not in inside:
-        return None
-    return entry
-
-
 def build_constrained_milp(game: GameTree, sub: Subgame,
                            quantities: SubgameQuantities,
                            bounds: BoundsMap,
@@ -495,11 +524,11 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
             r1_vars[seq] = lp.add_var(f"r1[{tp1.seq_label(seq)}]", 0.0, 1.0)
     leader_heads_entry = {i: tp1.entry_seq[i] for i in sub.heads[LEADER]}
     for infoset in sub.infosets[LEADER]:
-        entry = _local_leader_entry(tp1, sub, infoset, inside1)
         coeffs = {r1_vars[seq]: -1.0 for seq in tp1.actions_of(infoset)}
-        if entry is None:
+        if infoset in leader_heads_entry:
             lp.add_constraint(coeffs, "==", -1.0, name=f"r1-head-{infoset}")
         else:
+            entry = tp1.entry_seq[infoset]
             coeffs[r1_vars[entry]] = coeffs.get(r1_vars[entry], 0.0) + 1.0
             lp.add_constraint(coeffs, "==", 0.0, name=f"r1-flow-{infoset}")
 
@@ -549,8 +578,7 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
     # |v_I| <= mass(I) at integer-feasible points, so each slack constraint
     # can carry its own (much tighter) big-M instead of one global constant.
     mass_of: dict[int, float] = {}
-    for infoset in sorted(sub.infosets[FOLLOWER],
-                          key=lambda i: -tp2.entry_seq[i]):
+    for infoset in reversed(sub.top_down[FOLLOWER]):
         total = 0.0
         for seq in tp2.actions_of(infoset):
             total += sum(abs(w) for _, w in g2_terms.get(seq, ()))
@@ -628,8 +656,7 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
     for var in entry2_vars.values():
         warm[var] = 1.0
     reached = {tp2.entry_seq[i] for i in sub.heads[FOLLOWER]}
-    for infoset in sorted(sub.infosets[FOLLOWER],
-                          key=lambda i: tp2.entry_seq[i]):
+    for infoset in sub.top_down[FOLLOWER]:
         if tp2.entry_seq[infoset] in reached:
             chosen = brvs.best_action[infoset]
             warm[r2_vars[chosen]] = 1.0
@@ -661,10 +688,9 @@ def build_full_milp(game: GameTree,
     pattern); the uniform plan is used when none is given.
     """
     sub, quantities = whole_game_subgame(game)
-    bounds = BoundsMap({}, 0.5, 1.0)
     r1 = r1_warm if r1_warm is not None else uniform_plan(game, LEADER)
     brvs = compute_brvs(game, r1)
-    return build_constrained_milp(game, sub, quantities, bounds, r1, brvs)
+    return build_constrained_milp(game, sub, quantities, NO_BOUNDS, r1, brvs)
 
 
 def extract_leader_plan(game: GameTree, model: SubgameModel,
@@ -672,27 +698,12 @@ def extract_leader_plan(game: GameTree, model: SubgameModel,
     """Full-game leader plan from a whole-game model's solution."""
     tp1 = game.treeplex(LEADER)
     probs = np.zeros(tp1.n_sequences)
-    probs[0] = 1.0
     for seq, var in model.r1_vars.items():
         probs[seq] = float(np.clip(solution.assignment[var], 0.0, 1.0))
+    renormalize_flow(tp1, probs)
     plan = RealizationPlan(LEADER, probs)
-    _scrub_flow(plan, tp1)
+    plan.check_flow(tp1)
     return plan
-
-
-def _scrub_flow(plan: RealizationPlan, tp) -> None:
-    plan.probs[0] = 1.0
-    for infoset in sorted(tp.infoset_ids, key=lambda i: tp.entry_seq[i]):
-        entry = plan.probs[tp.entry_seq[infoset]]
-        seqs = tp.actions_of(infoset)
-        total = sum(plan.probs[s] for s in seqs)
-        if total <= 0.0:
-            for s in seqs:
-                plan.probs[s] = entry / len(seqs)
-        else:
-            for s in seqs:
-                plan.probs[s] *= entry / total
-    plan.check_flow(tp)
 
 
 # ---------------------------------------------------------------------------
@@ -715,18 +726,9 @@ def blueprint_local_plan(game: GameTree, sub: Subgame,
     """The blueprint itself, renormalized to 1 at each leader head."""
     tp1 = game.treeplex(LEADER)
     local: dict[int, float] = {}
-    inside = set(sub.infosets[LEADER])
-
-    def entry_value(infoset: int) -> float:
-        entry = tp1.entry_seq[infoset]
-        parent = tp1.sequences[entry].parent_infoset
-        if parent is None or parent not in inside:
-            return 1.0
-        return local[entry]
-
-    for infoset in sorted(sub.infosets[LEADER],
-                          key=lambda i: tp1.entry_seq[i]):
-        entry = entry_value(infoset)
+    heads = set(sub.heads[LEADER])
+    for infoset in sub.top_down[LEADER]:
+        entry = 1.0 if infoset in heads else local[tp1.entry_seq[infoset]]
         seqs = tp1.actions_of(infoset)
         bp_entry = r1_bp.probs[tp1.entry_seq[infoset]]
         if bp_entry > 1e-12:
@@ -757,6 +759,7 @@ def solve_subgame(game: GameTree, model: SubgameModel,
             local_plan=blueprint_local_plan(game, sub, r1_bp),
             used_fallback=True, wall_time=wall, bound_gap=float("inf"))
 
+    started = time.perf_counter()
     try:
         solution = solve_milp(model.problem, warm=model.warm,
                               time_limit=time_limit)
@@ -765,7 +768,8 @@ def solve_subgame(game: GameTree, model: SubgameModel,
         try:
             solution = solve_milp(model.problem, time_limit=time_limit)
         except SolverError:
-            return fallback("WarmStartFailed", 0.0)
+            return fallback("WarmStartFailed",
+                            time.perf_counter() - started)
     if solution.status not in (OPTIMAL, INCUMBENT_TIME_LIMIT) or \
             solution.assignment is None:
         return fallback(solution.status, solution.wall_time)
@@ -776,7 +780,9 @@ def solve_subgame(game: GameTree, model: SubgameModel,
     local = {}
     for seq, var in model.r1_vars.items():
         local[seq] = float(np.clip(solution.assignment[var], 0.0, 1.0))
-    _normalize_local(game, sub, local)
+    # Scrub solver round-off so local flow is exact, heads at 1.
+    renormalize_flow(game.treeplex(LEADER), local, sub.top_down[LEADER],
+                     sub.heads[LEADER])
     recomputed = _incumbent_payoff(game, model, solution, local)
     if abs(recomputed - solution.objective) > 1e-6:
         raise SolverError(
@@ -830,27 +836,6 @@ def _bound_violations(model: SubgameModel, solution: MilpSolution):
             yield name
         if rel == "<=" and lhs > rhs + 1e-6:
             yield name
-
-
-def _normalize_local(game: GameTree, sub: Subgame,
-                     local: dict[int, float]) -> None:
-    """Scrub solver round-off so local flow is exact, heads at 1."""
-    tp1 = game.treeplex(LEADER)
-    inside = set(sub.infosets[LEADER])
-    for infoset in sorted(sub.infosets[LEADER],
-                          key=lambda i: tp1.entry_seq[i]):
-        entry = tp1.entry_seq[infoset]
-        parent = tp1.sequences[entry].parent_infoset
-        entry_val = 1.0 if (parent is None or parent not in inside) \
-            else local[entry]
-        seqs = tp1.actions_of(infoset)
-        total = sum(local[s] for s in seqs)
-        if total <= 0.0:
-            for s in seqs:
-                local[s] = entry_val / len(seqs)
-        else:
-            for s in seqs:
-                local[s] *= entry_val / total
 
 
 # ---------------------------------------------------------------------------
@@ -929,5 +914,6 @@ def sse_oracle(game: GameTree) -> tuple[float, RealizationPlan]:
     if best[1] is None:
         raise SolverError("oracle found no inducible follower response")
     plan = RealizationPlan(LEADER, np.clip(best[1], 0.0, 1.0))
-    _scrub_flow(plan, tp1)
+    renormalize_flow(tp1, plan.probs)
+    plan.check_flow(tp1)
     return best[0], plan
