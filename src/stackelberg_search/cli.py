@@ -155,7 +155,7 @@ def cmd_search(args) -> int:
         json.dump(bounds_report, handle, indent=1)
         handle.write("\n")
     save_plan(report.plan, os.path.join(args.out, "composed-plan.json"))
-    blueprint_ev = evaluate_leader(game, blueprint)
+    blueprint_ev = expected_payoffs(game, blueprint, report.response)[0]
     search_ev = evaluate_leader(game, report.plan)
     print(f"{len(partition)} subgames, {report.n_fallbacks} fallbacks")
     print(f"blueprint EV: {blueprint_ev:.9f}")

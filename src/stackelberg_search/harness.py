@@ -113,6 +113,8 @@ class SearchReport:
     solutions: tuple[SubgameSolution, ...]
     bounds: dict[int, BoundsMap]
     quantities: tuple[SubgameQuantities, ...]
+    response: RealizationPlan      # the follower's best response to the
+                                   # blueprint, as the preamble computed it
 
     @property
     def max_subgame_time(self) -> float:
@@ -162,7 +164,8 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
     local_plans = {s.index: s.local_plan for s in solutions}
     plan = compose_strategy(game, blueprint, partition, local_plans)
     return SearchReport(plan=plan, solutions=tuple(solutions), bounds=bounds,
-                        quantities=tuple(quantities))
+                        quantities=tuple(quantities),
+                        response=context.response)
 
 
 def naive_search(game: GameTree, blueprint: RealizationPlan,
@@ -362,7 +365,7 @@ def run_single(game: GameTree, config: ExperimentConfig,
                          alpha=config.alpha, beta=config.beta,
                          time_limit=config.subgame_time_limit,
                          workers=config.workers)
-    blueprint_ev = evaluate_leader(game, blueprint.plan)
+    blueprint_ev = expected_payoffs(game, blueprint.plan, report.response)[0]
     search_ev = evaluate_leader(game, report.plan)
     full_ev = None
     if config.solve_full_game:

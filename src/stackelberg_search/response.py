@@ -13,7 +13,7 @@ with a tolerance so float noise cannot flip branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -158,21 +158,23 @@ def enumerate_pure_plans(game: GameTree, player: int) -> Iterator[RealizationPla
 
     Off-path information sets carry probability zero (reduced form), so the
     count is the product over reachable infosets of their action counts, not
-    an exponential over all infosets.
+    an exponential over all infosets.  Plans are built one at a time, so the
+    first ones come at once even when the count is astronomical.
     """
     tp = game.treeplex(player)
 
-    def expand(seq_id: int) -> list[tuple[int, ...]]:
-        combos: list[tuple[int, ...]] = [()]
-        for infoset in tp.children_infosets.get(seq_id, ()):
-            options: list[tuple[int, ...]] = []
-            for seq in tp.actions_of(infoset):
-                for sub in expand(seq):
-                    options.append((seq,) + sub)
-            combos = [acc + opt for acc in combos for opt in options]
-        return combos
+    def expand(infosets: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """Every choice of sequences below the given sibling infosets; the
+        first infoset varies slowest."""
+        if not infosets:
+            yield ()
+            return
+        for seq in tp.actions_of(infosets[0]):
+            for below in expand(tp.children_infosets.get(seq, ())):
+                for rest in expand(infosets[1:]):
+                    yield (seq,) + below + rest
 
-    for chosen in expand(0):
+    for chosen in expand(tp.children_infosets.get(0, ())):
         probs = np.zeros(tp.n_sequences)
         probs[0] = 1.0
         for seq in chosen:

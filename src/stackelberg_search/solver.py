@@ -1,35 +1,35 @@
-"""Linear programs and a small branch-and-bound MILP solver.
+"""Linear programs and mixed-integer solves, both on HiGHS.
 
-The LP backend is scipy's HiGHS interface; everything integer is handled
-here: most-fractional branching (ties by lowest variable id), best-bound node
-selection with depth-first plunging, warm starts as initial incumbents, and
-wall-clock limits with anytime incumbents.  All choices are deterministic, so
-two runs on the same problem produce the same solution whenever no time limit
-truncates the search.
+Every LP goes through scipy's ``linprog``; the integer search (presolve,
+cuts, branching, node selection) is HiGHS's branch-and-cut, called through
+``scipy.optimize.milp``.  Around it this module adds warm starts as initial
+incumbents, an optimality proof at the root when the warm start already
+meets the relaxation bound (``milp`` takes no warm start), wall-clock limits
+with anytime incumbents, and binaries that come back exactly 0 or 1.  HiGHS
+is deterministic, so two runs on the same problem produce the same solution
+whenever no time limit truncates the search.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 FEAS_TOL = 1e-6
-INT_TOL = 1e-6
 GAP_TOL = 1e-6
-# Nodes whose relaxation bound cannot beat the incumbent by more than this
-# are pruned; smaller than GAP_TOL so proven gaps stay honest.
-PRUNE_EPS = 1e-9
 
 OPTIMAL = "Optimal"
 INCUMBENT_TIME_LIMIT = "IncumbentTimeLimit"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
+# scipy.optimize.milp status codes.
+_MIP_STATUS = {0: OPTIMAL, 1: INCUMBENT_TIME_LIMIT, 2: INFEASIBLE,
+               3: UNBOUNDED}
 
 
 class SolverError(RuntimeError):
@@ -157,10 +157,9 @@ def _split_rows(lp: LinearProgram):
 
 
 class _LpCore:
-    """Pre-assembled matrices so branch-and-bound only swaps variable bounds."""
+    """Pre-assembled matrices, so each LP only swaps variable bounds."""
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
         self.a_ub, self.b_ub, self.a_eq, self.b_eq = _split_rows(lp)
         self.c = -np.array(lp.objective)  # linprog minimizes
         self.base_bounds = np.column_stack([lp.lower, lp.upper])
@@ -172,10 +171,27 @@ class _LpCore:
             for var, (lo, hi) in overrides.items():
                 bounds[var, 0] = lo
                 bounds[var, 1] = hi
-        res = linprog(self.c, A_ub=self.a_ub, b_ub=self.b_ub,
-                      A_eq=self.a_eq, b_eq=self.b_eq, bounds=bounds,
-                      method="highs")
-        return res
+        return linprog(self.c, A_ub=self.a_ub, b_ub=self.b_ub,
+                       A_eq=self.a_eq, b_eq=self.b_eq, bounds=bounds,
+                       method="highs")
+
+    def solve_mip(self, binaries: tuple[int, ...],
+                  time_limit: Optional[float]):
+        integrality = np.zeros(len(self.c))
+        integrality[list(binaries)] = 1
+        constraints = []
+        if self.a_ub is not None:
+            constraints.append(LinearConstraint(self.a_ub, -np.inf, self.b_ub))
+        if self.a_eq is not None:
+            constraints.append(LinearConstraint(self.a_eq, self.b_eq,
+                                                self.b_eq))
+        options = {"mip_rel_gap": GAP_TOL}
+        if time_limit is not None:
+            options["time_limit"] = time_limit
+        return milp(self.c, integrality=integrality,
+                    bounds=Bounds(self.base_bounds[:, 0],
+                                  self.base_bounds[:, 1]),
+                    constraints=constraints, options=options)
 
 
 def _status_from_linprog(res) -> str:
@@ -200,124 +216,79 @@ def solve_lp(lp: LinearProgram) -> MilpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Branch and bound
+# Mixed-integer solves
 
 
-def _most_fractional(x: np.ndarray, binaries: tuple[int, ...]) -> Optional[int]:
-    best, best_score = None, INT_TOL
-    for var in binaries:  # ids ascending: ties resolve to the lowest id
-        score = min(x[var] - np.floor(x[var]), np.ceil(x[var]) - x[var])
-        if score > best_score + 1e-15:
-            best, best_score = var, score
-    return best
+def _fix_binaries(core: _LpCore, binaries: tuple[int, ...],
+                  x: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
+    """Objective and assignment of the LP with every binary fixed at its
+    rounded value in x; None if that LP is infeasible."""
+    res = core.solve({var: (round(float(x[var])),) * 2 for var in binaries})
+    if _status_from_linprog(res) != OPTIMAL:
+        return None
+    return float(-res.fun), np.array(res.x)
+
+
+def _finish(status: str, started: float,
+            best: Optional[tuple[float, np.ndarray]] = None,
+            bound: float = np.inf) -> MilpSolution:
+    """The solution for an incumbent (objective, x), if any, whose value is
+    bounded above by bound."""
+    wall = time.perf_counter() - started
+    if best is None:
+        return MilpSolution(status, float("nan"), None, float("inf"), wall)
+    objective, x = best
+    return MilpSolution(status, objective, x, max(0.0, bound - objective),
+                        wall)
 
 
 def solve_milp(problem: MilpProblem,
                warm: Optional[np.ndarray] = None,
                time_limit: Optional[float] = None) -> MilpSolution:
-    """Branch and bound over the problem's binary variables.
+    """Maximize over the problem's binary variables with HiGHS.
 
     warm, if given, must be a feasible full assignment; its binary pattern is
-    fixed and re-optimized to seed the incumbent.  On timeout the best
-    incumbent is returned with the outstanding relaxation bound.
+    fixed and re-optimized to seed the incumbent, and the result is never
+    worse than it.  time_limit bounds the whole call; on timeout the best
+    incumbent is returned with the outstanding bound gap.
     """
     t0 = time.perf_counter()
-
-    def time_left() -> float:
-        if time_limit is None:
-            return float("inf")
-        return time_limit - (time.perf_counter() - t0)
-
     core = _LpCore(problem.lp)
-    binaries = tuple(sorted(problem.binaries))
-    incumbent: Optional[np.ndarray] = None
-    incumbent_obj = -np.inf
+    binaries = problem.binaries
 
+    best = None
     if warm is not None:
-        fixed = {var: (round(float(warm[var])),) * 2 for var in binaries}
-        res = core.solve(fixed)
-        if _status_from_linprog(res) == OPTIMAL:
-            incumbent = np.array(res.x)
-            incumbent_obj = float(-res.fun)
-        else:
+        best = _fix_binaries(core, binaries, warm)
+        if best is None:
             raise SolverError("warm start is infeasible")
 
     root = core.solve()
     root_status = _status_from_linprog(root)
-    if root_status == INFEASIBLE:
-        return MilpSolution(INFEASIBLE, float("nan"), None, float("inf"),
-                            time.perf_counter() - t0)
-    if root_status == UNBOUNDED:
-        return MilpSolution(UNBOUNDED, float("nan"), None, float("inf"),
-                            time.perf_counter() - t0)
+    if root_status != OPTIMAL:
+        return _finish(root_status, t0)
+    root_bound = float(-root.fun)
+    time_left = None if time_limit is None \
+        else time_limit - (time.perf_counter() - t0)
+    if time_left is not None and time_left <= 0.0:
+        return _finish(INCUMBENT_TIME_LIMIT, t0, best, root_bound)
+    if best is not None and \
+            root_bound - best[0] <= GAP_TOL * (1.0 + abs(best[0])):
+        return _finish(OPTIMAL, t0, best, root_bound)
 
-    # Heap of open nodes: (-bound, insertion counter, fixings, relaxation x).
-    counter = 0
-    heap: list = [(-float(-root.fun), counter, {}, np.array(root.x))]
-
-    def result(status: str, outstanding: float = -np.inf) -> MilpSolution:
-        open_bound = max((-h[0] for h in heap), default=-np.inf)
-        open_bound = max(open_bound, outstanding)
-        gap = max(0.0, open_bound - incumbent_obj) \
-            if incumbent is not None else float("inf")
-        if incumbent is None:
-            return MilpSolution(status, float("nan"), None, gap,
-                                time.perf_counter() - t0)
-        return MilpSolution(status, incumbent_obj, incumbent, gap,
-                            time.perf_counter() - t0)
-
-    while heap:
-        if time_left() <= 0.0:
-            return result(INCUMBENT_TIME_LIMIT)
-        neg_bound, _, fixings, x = heapq.heappop(heap)
-        bound = -neg_bound
-        if bound <= incumbent_obj + PRUNE_EPS:
-            continue
-        if incumbent is not None and \
-                bound - incumbent_obj <= GAP_TOL * (1.0 + abs(incumbent_obj)):
-            return result(OPTIMAL, outstanding=bound)
-        # Depth-first plunge from the popped node.
-        while True:
-            var = _most_fractional(x, binaries)
-            if var is None:
-                if bound > incumbent_obj + PRUNE_EPS:
-                    incumbent = x
-                    incumbent_obj = bound
-                break
-            children = []
-            for value in (0.0, 1.0):
-                child_fix = dict(fixings)
-                child_fix[var] = (value, value)
-                res = core.solve(child_fix)
-                if _status_from_linprog(res) == OPTIMAL:
-                    child_bound = float(-res.fun)
-                    if child_bound > incumbent_obj + PRUNE_EPS:
-                        children.append((child_bound, value, child_fix,
-                                         np.array(res.x)))
-            if time_left() <= 0.0:
-                for child_bound, _, child_fix, child_x in children:
-                    counter += 1
-                    heapq.heappush(heap, (-child_bound, counter, child_fix,
-                                          child_x))
-                return result(INCUMBENT_TIME_LIMIT)
-            if not children:
-                break
-            # Dive on the better-bound child (ties: follow the relaxation's
-            # rounding, preferring 1); push the sibling for later.
-            if len(children) == 2:
-                a, b = children
-                if abs(a[0] - b[0]) <= 1e-12:
-                    prefer = 1.0 if x[var] >= 0.5 else 0.0
-                    dive, other = (a, b) if a[1] == prefer else (b, a)
-                else:
-                    dive, other = (a, b) if a[0] > b[0] else (b, a)
-                counter += 1
-                heapq.heappush(heap, (-other[0], counter, other[2], other[3]))
-            else:
-                dive = children[0]
-            bound, _, fixings, x = dive
-
-    if incumbent is None:
-        return MilpSolution(INFEASIBLE, float("nan"), None, float("inf"),
-                            time.perf_counter() - t0)
-    return result(OPTIMAL)
+    res = core.solve_mip(binaries, time_left)
+    if res.x is not None:
+        polished = _fix_binaries(core, binaries, res.x)
+        if polished is None:
+            raise SolverError("MIP solution is infeasible with its binaries "
+                              "fixed")
+        if best is None or polished[0] > best[0]:
+            best = polished
+    if best is None:
+        if res.status not in (1, 2, 3):
+            raise SolverError(f"MIP backend failure: {res.message}")
+        return _finish(_MIP_STATUS[res.status], t0)
+    bound = root_bound
+    if res.status in (0, 1) and res.mip_dual_bound is not None:
+        bound = min(bound, -res.mip_dual_bound)
+    return _finish(OPTIMAL if res.status == 0 else INCUMBENT_TIME_LIMIT, t0,
+                   best, bound)
