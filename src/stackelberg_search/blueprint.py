@@ -25,6 +25,7 @@ from stackelberg_search.efg import (
     GameTree,
     RealizationPlan,
     behavioral_to_realization,
+    payoff_tables,
     renormalize_flow,
     uniform_plan,
 )
@@ -45,36 +46,6 @@ class Blueprint:
     source: dict = field(default_factory=dict)
 
 
-def _chance_weighted_leader_payoffs(game: GameTree,
-                                    surrogate_u1: np.ndarray | None,
-                                    ) -> dict[tuple[int, int], float]:
-    """g(s1, s2) tables for the zero-sum LP, from real or surrogate payoffs."""
-    ids, s1, s2, reach, u1, u2 = game.leaf_arrays()
-    if surrogate_u1 is None:
-        if np.max(np.abs(u1 + u2)) > ZERO_SUM_TOL:
-            raise GameError(
-                "game is not zero-sum; pass surrogate leader payoffs")
-        values = u1
-    else:
-        values = np.asarray(surrogate_u1, dtype=float)[ids]
-    table: dict[tuple[int, int], float] = {}
-    for k in range(len(ids)):
-        key = (int(s1[k]), int(s2[k]))
-        table[key] = table.get(key, 0.0) + float(values[k] * reach[k])
-    return table
-
-
-def _leader_flow_constraints(lp: LinearProgram, game: GameTree,
-                             r_vars: list[int]) -> None:
-    tp1 = game.treeplex(LEADER)
-    lp.add_constraint({r_vars[0]: 1.0}, "==", 1.0, name="r1-root")
-    for infoset in tp1.infoset_ids:
-        coeffs = {r_vars[tp1.entry_seq[infoset]]: 1.0}
-        for seq in tp1.actions_of(infoset):
-            coeffs[r_vars[seq]] = coeffs.get(r_vars[seq], 0.0) - 1.0
-        lp.add_constraint(coeffs, "==", 0.0, name=f"r1-flow-{infoset}")
-
-
 def zero_sum_blueprint(game: GameTree,
                        surrogate_u1: np.ndarray | None = None) -> Blueprint:
     """Sequence-form maximin leader strategy of a zero-sum (surrogate) game.
@@ -85,9 +56,13 @@ def zero_sum_blueprint(game: GameTree,
              v_root + sum of root-infoset values <= g(r_1, empty),
              (child infoset values) - v_I <= g(r_1, sigma)  for sigma = (I, a).
     """
+    if surrogate_u1 is None:
+        _, _, _, _, u1, u2 = game.leaf_arrays()
+        if np.max(np.abs(u1 + u2)) > ZERO_SUM_TOL:
+            raise GameError(
+                "game is not zero-sum; pass surrogate leader payoffs")
     tp1 = game.treeplex(LEADER)
     tp2 = game.treeplex(FOLLOWER)
-    table = _chance_weighted_leader_payoffs(game, surrogate_u1)
 
     lp = LinearProgram()
     r_vars = [lp.add_var(f"r1[{tp1.seq_label(s)}]", 0.0, 1.0)
@@ -95,21 +70,21 @@ def zero_sum_blueprint(game: GameTree,
     v_root = lp.add_var("v[root]", -np.inf, np.inf, objective=1.0)
     v_inf = {i: lp.add_var(f"v[I{i}]", -np.inf, np.inf)
              for i in tp2.infoset_ids}
-    _leader_flow_constraints(lp, game, r_vars)
+    lp.add_constraint({r_vars[0]: 1.0}, "==", 1.0, name="r1-root")
+    for infoset in tp1.infoset_ids:
+        coeffs = {r_vars[tp1.entry_seq[infoset]]: 1.0}
+        coeffs.update((r_vars[seq], -1.0) for seq in tp1.actions_of(infoset))
+        lp.add_constraint(coeffs, "==", 0.0, name=f"r1-flow-{infoset}")
 
-    terms_by_s2: dict[int, list[tuple[int, float]]] = {}
-    for (s1, s2), g in table.items():
-        terms_by_s2.setdefault(s2, []).append((s1, g))
-    for s2 in range(tp2.n_sequences):
-        coeffs: dict[int, float] = {}
-        if s2 == 0:
-            coeffs[v_root] = 1.0
-        else:
-            coeffs[v_inf[tp2.sequences[s2].parent_infoset]] = -1.0
-        for child in tp2.children_infosets.get(s2, ()):
-            coeffs[v_inf[child]] = coeffs.get(v_inf[child], 0.0) + 1.0
-        for s1, g in terms_by_s2.get(s2, ()):
-            coeffs[r_vars[s1]] = coeffs.get(r_vars[s1], 0.0) - g
+    # Per follower sequence: its value, its child infosets', its payoffs.
+    dual_rows = [{v_root: 1.0}] + [
+        {v_inf[seq.parent_infoset]: -1.0} for seq in tp2.sequences[1:]]
+    for s2, coeffs in enumerate(dual_rows):
+        coeffs.update((v_inf[child], 1.0)
+                      for child in tp2.children_infosets.get(s2, ()))
+    for (s1, s2), g in payoff_tables(game, surrogate_u1).items():
+        dual_rows[s2][r_vars[s1]] = -g[0]
+    for s2, coeffs in enumerate(dual_rows):
         lp.add_constraint(coeffs, "<=", 0.0, name=f"dual-{tp2.seq_label(s2)}")
 
     sol = solve_lp(lp)

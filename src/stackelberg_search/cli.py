@@ -32,7 +32,11 @@ from stackelberg_search.harness import (
     write_timing_report,
 )
 from stackelberg_search.response import best_response
-from stackelberg_search.search import partition_subgames, prepare_search
+from stackelberg_search.search import (
+    SubgamePartition,
+    partition_subgames,
+    prepare_search,
+)
 from stackelberg_search.solver import SolverError
 
 SCHEMES = ("whole-game", "metadata", "explicit", "two-stage", "goofspiel",
@@ -58,15 +62,21 @@ def load_plan(game: GameTree, path: str, player: int = LEADER,
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
     tp = game.treeplex(player)
+    if not isinstance(raw, dict):
+        raise GameError(f"plan file {path}: not a JSON object")
     probs = np.zeros(tp.n_sequences)
     for key, value in raw.items():
-        probs[int(key)] = float(value)
+        if not (key.isdecimal() and int(key) < tp.n_sequences) or \
+                type(value) not in (int, float):
+            raise GameError(f"plan file {path}: bad entry {key!r}: {value!r} "
+                            f"(sequence ids are 0..{tp.n_sequences - 1})")
+        probs[int(key)] = value
     plan = RealizationPlan(player, probs)
     plan.check_flow(tp)
     return plan
 
 
-def _partition(game: GameTree, args) -> "SubgamePartition":
+def _partition(game: GameTree, args) -> SubgamePartition:
     initial = None
     if getattr(args, "initial_nodes", None):
         initial = json.loads(args.initial_nodes)

@@ -14,6 +14,7 @@ sequence ``sigma``, ``r(sigma) = sum_a r(sigma a)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -309,6 +310,14 @@ class Treeplex:
         """Sequence ids extending this infoset's entry sequence, by action index."""
         return self.infoset_actions[infoset_id]
 
+    @cached_property
+    def flow_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entry seq per infoset, and the infoset's index per seq 1..n-1."""
+        ids = self.infoset_ids
+        entry = np.array([self.entry_seq[i] for i in ids], dtype=np.int64)
+        sizes = [len(self.infoset_actions[i]) for i in ids]
+        return entry, np.repeat(np.arange(len(ids)), sizes)
+
 
 def build_treeplex(game: GameTree, player: int) -> Treeplex:
     """Enumerate the player's sequences/infoset structure in DFS order."""
@@ -367,21 +376,25 @@ def build_treeplex(game: GameTree, player: int) -> Treeplex:
     )
 
 
-def payoff_tables(game: GameTree) -> dict[tuple[int, int], np.ndarray]:
+def payoff_tables(game: GameTree, u1: Optional[np.ndarray] = None,
+                  ) -> dict[tuple[int, int], np.ndarray]:
     """The sparse g tables: (leader seq, follower seq) -> chance-weighted payoffs.
 
-    g_i(s1, s2) = sum over terminals z with seq pair (s1, s2) of u_i(z) * C(z).
+    g_i(s1, s2) = sum over terminals z with seq pair (s1, s2) of u_i(z) * C(z),
+    added in leaf order; pairs appear in the order of their first leaf.  u1,
+    an array over node ids, replaces the leader's payoffs (a surrogate game).
     """
-    _, s1, s2, reach, u1, u2 = game.leaf_arrays()
+    ids, s1, s2, reach, leaf_u1, u2 = game.leaf_arrays()
+    if u1 is not None:
+        leaf_u1 = np.asarray(u1, dtype=float)[ids]
     table: dict[tuple[int, int], np.ndarray] = {}
-    for k in range(len(reach)):
-        key = (int(s1[k]), int(s2[k]))
+    for key, g in zip(zip(s1.tolist(), s2.tolist()),
+                      np.column_stack((leaf_u1 * reach, u2 * reach))):
         entry = table.get(key)
         if entry is None:
-            table[key] = np.array([u1[k] * reach[k], u2[k] * reach[k]])
+            table[key] = g
         else:
-            entry[0] += u1[k] * reach[k]
-            entry[1] += u2[k] * reach[k]
+            entry += g
     return table
 
 
@@ -407,17 +420,20 @@ class RealizationPlan:
                 f"plan has {len(self.probs)} sequences, game expects "
                 f"{treeplex.n_sequences}: plan belongs to a different game"
             )
+        if not np.all(np.isfinite(self.probs)):
+            raise GameError("non-finite sequence probability")
         if abs(self.probs[0] - 1.0) > tol:
             raise GameError(f"empty sequence has probability {self.probs[0]!r}")
         if np.any(self.probs < -tol):
             raise GameError("negative sequence probability")
-        for infoset in treeplex.infoset_ids:
-            entry = self.probs[treeplex.entry_seq[infoset]]
-            total = sum(self.probs[s] for s in treeplex.actions_of(infoset))
-            if abs(entry - total) > tol:
-                raise GameError(
-                    f"flow violated at infoset {infoset}: {entry!r} vs {total!r}"
-                )
+        # bincount sums each action block left to right, starting from 0.0.
+        entry, block = treeplex.flow_blocks
+        total = np.bincount(block, self.probs[1:], minlength=len(entry))
+        bad = np.flatnonzero(np.abs(self.probs[entry] - total) > tol)
+        if bad.size:
+            k = bad[0]
+            raise GameError(f"flow violated at infoset {treeplex.infoset_ids[k]}: "
+                            f"{self.probs[entry[k]]!r} vs {total[k]!r}")
 
     def is_pure(self, tol: float = FLOW_TOL) -> bool:
         return bool(np.all((np.abs(self.probs) < tol)

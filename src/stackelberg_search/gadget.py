@@ -236,8 +236,8 @@ class GadgetSolution:
 
 
 def solve_via_gadget(game: GameTree, sub: Subgame,
-                     quantities: SubgameQuantities, bounds: BoundsMap,
-                     time_limit: Optional[float] = None) -> GadgetSolution:
+                     quantities: SubgameQuantities,
+                     bounds: BoundsMap) -> GadgetSolution:
     """Commitment-solve the gadget and map the result back.
 
     The gadget's objective carries the entry-normalization factor eta;
@@ -246,8 +246,7 @@ def solve_via_gadget(game: GameTree, sub: Subgame,
     """
     gg = transform_subgame(game, sub, quantities, bounds)
     model = build_full_milp(gg.game)
-    solution = solve_milp(model.problem, warm=model.warm,
-                          time_limit=time_limit)
+    solution = solve_milp(model.problem, warm=model.warm)
     if solution.status not in (OPTIMAL, INCUMBENT_TIME_LIMIT) or \
             solution.assignment is None:
         raise SolverError(

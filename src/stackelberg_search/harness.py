@@ -169,8 +169,7 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
 
 
 def naive_search(game: GameTree, blueprint: RealizationPlan,
-                 partition: SubgamePartition, *,
-                 time_limit: Optional[float] = None) -> RealizationPlan:
+                 partition: SubgamePartition) -> RealizationPlan:
     """Re-solve every reachable subgame with no bounds at all.
 
     Each subgame becomes a fresh commitment problem over the normalized
@@ -186,11 +185,10 @@ def naive_search(game: GameTree, blueprint: RealizationPlan,
         if q.eta is None:
             continue
         try:
-            refined = solve_via_gadget(game, sub, q, NO_BOUNDS,
-                                       time_limit=time_limit)
+            local_plans[sub.index] = solve_via_gadget(
+                game, sub, q, NO_BOUNDS).local_plan
         except SolverError:
             continue
-        local_plans[sub.index] = refined.local_plan
     return compose_strategy(game, blueprint, partition, local_plans)
 
 

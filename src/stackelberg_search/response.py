@@ -23,7 +23,6 @@ from stackelberg_search.efg import (
     GameError,
     GameTree,
     RealizationPlan,
-    Treeplex,
     payoff_tables,
 )
 
@@ -51,19 +50,17 @@ class BrvTable:
     root_leader_value: float
 
 
-def _sequence_payoff_terms(game: GameTree) -> dict[int, list[tuple[int, float, float]]]:
-    """Per follower sequence: list of (leader sequence, g1, g2) terms."""
-    terms: dict[int, list[tuple[int, float, float]]] = {}
-    for (s1, s2), (g1, g2) in payoff_tables(game).items():
-        terms.setdefault(s2, []).append((s1, float(g1), float(g2)))
-    return terms
-
-
 def compute_brvs(game: GameTree, r_leader: RealizationPlan) -> BrvTable:
     tp2 = game.treeplex(FOLLOWER)
     r_leader.check_flow(game.treeplex(LEADER))
-    terms = _sequence_payoff_terms(game)
     r1 = r_leader.probs
+    # Per follower sequence, the (leader, follower) values of the leaves it
+    # closes, weighted by the leader's plan; add.at sums in table order.
+    table = payoff_tables(game)
+    pairs = np.array(list(table), dtype=np.int64)
+    closed = np.zeros((tp2.n_sequences, 2))
+    np.add.at(closed, pairs[:, 1],
+              r1[pairs[:, 0], None] * np.array(list(table.values())))
 
     brv_seq: dict[int, float] = {}
     brv_inf: dict[int, float] = {}
@@ -73,10 +70,7 @@ def compute_brvs(game: GameTree, r_leader: RealizationPlan) -> BrvTable:
     leader_inf: dict[int, float] = {}
 
     def seq_value(seq_id: int) -> tuple[float, float]:
-        fv = lv = 0.0
-        for s1, g1, g2 in terms.get(seq_id, ()):
-            fv += r1[s1] * g2
-            lv += r1[s1] * g1
+        lv, fv = closed[seq_id]
         for infoset in tp2.children_infosets.get(seq_id, ()):
             fv += brv_inf[infoset]
             lv += leader_inf[infoset]

@@ -168,11 +168,12 @@ def partition_subgames(game: GameTree, scheme: str, *,
     elif scheme == "explicit":
         if not initial_nodes:
             raise GameError("explicit scheme needs initial_nodes")
-        groups = initial_nodes
+        groups = _checked_groups(game, initial_nodes, "initial_nodes")
     elif scheme == "metadata":
         groups = game.metadata.get("subgames")
         if not groups:
             raise GameError("game metadata bundles no subgames")
+        groups = _checked_groups(game, groups, "metadata subgames")
     elif scheme == "two-stage":
         if name != "two-stage":
             raise GameError("two-stage scheme needs a two-stage game")
@@ -190,6 +191,18 @@ def partition_subgames(game: GameTree, scheme: str, *,
     partition = SubgamePartition(subgames)
     check_partition(game, partition)
     return partition
+
+
+def _checked_groups(game: GameTree, groups, source: str) -> list[list[int]]:
+    """Subgame roots from outside input: non-empty lists of node ids."""
+    n = len(game.nodes)
+    if not isinstance(groups, list) or not all(
+            isinstance(g, list) and g and all(
+                isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+                for v in g) for g in groups):
+        raise GameError(f"{source} must be a list of non-empty lists of node "
+                        f"ids in 0..{n - 1}")
+    return groups
 
 
 def _goofspiel_groups(game: GameTree, m: Optional[int]) -> list[list[int]]:
@@ -492,17 +505,16 @@ class SubgameModel:
     entry2_vars: dict[int, int]      # follower entry seq id -> LP var
     v_vars: dict[int, int]           # follower infoset -> LP var
     p_vars: dict[int, int]           # terminal node -> LP var
+    leaf_seq1: dict[int, int]        # terminal -> local leader seq or _CONST_ONE
+    leaf_seq2: dict[int, int]        # terminal -> local follower seq or _CONST_ONE
     warm: np.ndarray
-    big_m: float
-    leader_heads_entry: dict[int, int]  # leader infoset -> entry seq id
 
 
 def build_constrained_milp(game: GameTree, sub: Subgame,
                            quantities: SubgameQuantities,
                            bounds: BoundsMap,
                            r1_bp: RealizationPlan,
-                           brvs: BrvTable,
-                           big_m: Optional[float] = None) -> SubgameModel:
+                           brvs: BrvTable) -> SubgameModel:
     """The bounded refinement program over one subgame's local sequences.
 
     Maximizes the leader's full-game payoff contribution of the subgame
@@ -522,10 +534,9 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
     for infoset in sub.infosets[LEADER]:
         for seq in tp1.actions_of(infoset):
             r1_vars[seq] = lp.add_var(f"r1[{tp1.seq_label(seq)}]", 0.0, 1.0)
-    leader_heads_entry = {i: tp1.entry_seq[i] for i in sub.heads[LEADER]}
     for infoset in sub.infosets[LEADER]:
         coeffs = {r1_vars[seq]: -1.0 for seq in tp1.actions_of(infoset)}
-        if infoset in leader_heads_entry:
+        if infoset in sub.heads[LEADER]:
             lp.add_constraint(coeffs, "==", -1.0, name=f"r1-head-{infoset}")
         else:
             entry = tp1.entry_seq[infoset]
@@ -586,16 +597,12 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
                          for child in tp2.children_infosets.get(seq, ()))
         mass_of[infoset] = total
 
-    s_vars: dict[int, int] = {}
-    max_m = 0.0
     for infoset in sub.infosets[FOLLOWER]:
-        seq_m = big_m if big_m is not None \
-            else 2.0 * mass_of[infoset] + 1.0
-        max_m = max(max_m, seq_m)
+        seq_m = 2.0 * mass_of[infoset] + 1.0
         for seq in tp2.actions_of(infoset):
-            s_vars[seq] = lp.add_var(f"s[{tp2.seq_label(seq)}]", 0.0, np.inf)
+            slack = lp.add_var(f"s[{tp2.seq_label(seq)}]", 0.0, np.inf)
             # v_I - s_seq - sum(child v) - sum(g2 * r1) = const
-            coeffs = {v_vars[infoset]: 1.0, s_vars[seq]: -1.0}
+            coeffs = {v_vars[infoset]: 1.0, slack: -1.0}
             const = 0.0
             for child in tp2.children_infosets.get(seq, ()):
                 if child in v_vars:
@@ -610,7 +617,7 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
             lp.add_constraint(coeffs, "==", const,
                               name=f"value-{tp2.seq_label(seq)}")
             # Slack is released only when the sequence is not chosen.
-            lp.add_constraint({s_vars[seq]: 1.0, r2_vars[seq]: seq_m},
+            lp.add_constraint({slack: 1.0, r2_vars[seq]: seq_m},
                               "<=", seq_m, name=f"slack-{tp2.seq_label(seq)}")
 
     # Head-value bounds.
@@ -663,8 +670,8 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
             reached.add(chosen)
     return SubgameModel(problem=problem, subgame=sub, r1_vars=r1_vars,
                         r2_vars=r2_vars, entry2_vars=entry2_vars,
-                        v_vars=v_vars, p_vars=p_vars, warm=warm, big_m=max_m,
-                        leader_heads_entry=leader_heads_entry)
+                        v_vars=v_vars, p_vars=p_vars, leaf_seq1=leaf_seq1,
+                        leaf_seq2=leaf_seq2, warm=warm)
 
 
 def whole_game_subgame(game: GameTree) -> tuple[Subgame, SubgameQuantities]:
@@ -783,7 +790,7 @@ def solve_subgame(game: GameTree, model: SubgameModel,
     # Scrub solver round-off so local flow is exact, heads at 1.
     renormalize_flow(game.treeplex(LEADER), local, sub.top_down[LEADER],
                      sub.heads[LEADER])
-    recomputed = _incumbent_payoff(game, model, solution, local)
+    recomputed = _incumbent_payoff(model, solution, local)
     if abs(recomputed - solution.objective) > 1e-6:
         raise SolverError(
             f"subgame {sub.index}: incumbent objective "
@@ -795,8 +802,7 @@ def solve_subgame(game: GameTree, model: SubgameModel,
                            bound_gap=solution.bound_gap)
 
 
-def _incumbent_payoff(game: GameTree, model: SubgameModel,
-                      solution: MilpSolution,
+def _incumbent_payoff(model: SubgameModel, solution: MilpSolution,
                       local: dict[int, float]) -> float:
     """The leader payoff encoded by an incumbent, recomputed from scratch.
 
@@ -804,20 +810,15 @@ def _incumbent_payoff(game: GameTree, model: SubgameModel,
     the scrubbed local leader realization and the incumbent's binary follower
     realization, bypassing the solver's own objective bookkeeping.
     """
-    sub = model.subgame
-    tp1 = game.treeplex(LEADER)
-    tp2 = game.treeplex(FOLLOWER)
-    inside1 = set(sub.infosets[LEADER])
-    inside2 = set(sub.infosets[FOLLOWER])
     objective = model.problem.lp.objective
     total = 0.0
     for z, p_var in model.p_vars.items():
         weight = objective[p_var]
         if weight == 0.0:
             continue
-        s1 = _local_seq(tp1, z, inside1)
+        s1 = model.leaf_seq1[z]
         f1 = 1.0 if s1 == _CONST_ONE else local[s1]
-        s2 = _local_seq(tp2, z, inside2)
+        s2 = model.leaf_seq2[z]
         if s2 == _CONST_ONE:
             f2 = 1.0
         else:
