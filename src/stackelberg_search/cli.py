@@ -146,6 +146,7 @@ def cmd_search(args) -> int:
                 "subgame": solution.index,
                 "status": solution.status,
                 "used_fallback": solution.used_fallback,
+                "twin_of": solution.twin_of,
                 "local_plan": {str(k): v
                                for k, v in sorted(solution.local_plan.items())},
             }, handle, indent=1)
@@ -167,7 +168,8 @@ def cmd_search(args) -> int:
     save_plan(report.plan, os.path.join(args.out, "composed-plan.json"))
     blueprint_ev = expected_payoffs(game, blueprint, report.response)[0]
     search_ev = evaluate_leader(game, report.plan)
-    print(f"{len(partition)} subgames, {report.n_fallbacks} fallbacks")
+    print(f"{len(partition)} subgames, {report.n_fallbacks} fallbacks, "
+          f"{report.n_reused} reused from a twin")
     print(f"blueprint EV: {blueprint_ev:.9f}")
     print(f"search EV:    {search_ev:.9f}")
     if args.beta <= 1.0:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,16 +45,21 @@ from stackelberg_search.search import (
     extract_leader_plan,
     partition_subgames,
     prepare_search,
+    reuse_solution,
     solve_subgame,
 )
 from stackelberg_search.solver import (
     INCUMBENT_TIME_LIMIT,
     OPTIMAL,
+    Fingerprint,
     SolverError,
+    fingerprint,
     solve_milp,
 )
 
 SAFETY_TOL = 1e-6
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +131,10 @@ class SearchReport:
     def n_fallbacks(self) -> int:
         return sum(1 for s in self.solutions if s.used_fallback)
 
+    @property
+    def n_reused(self) -> int:
+        return sum(1 for s in self.solutions if s.twin_of is not None)
+
 
 def _skipped(game: GameTree, sub, blueprint: RealizationPlan,
              status: str) -> SubgameSolution:
@@ -131,6 +142,54 @@ def _skipped(game: GameTree, sub, blueprint: RealizationPlan,
         index=sub.index, status=status, objective=0.0,
         local_plan=blueprint_local_plan(game, sub, blueprint),
         used_fallback=True, wall_time=0.0, bound_gap=0.0)
+
+
+class _TwinTable:
+    """The subgames of one search by model fingerprint, shared by the
+    worker threads.
+
+    A subgame's twin is the lowest index below its own whose fingerprint
+    matches.  Each subgame waits until every lower index has published, so
+    the answer does not depend on thread timing; only subgames without a
+    twin (the representatives) keep their fingerprint.  Waits only ever go
+    to lower indices, which a FIFO pool has already started, so none blocks
+    for good.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._published: set[int] = set()
+        self._representatives: dict[bytes, list[tuple[int, Fingerprint]]] = {}
+        self._solutions: dict[int, Optional[SubgameSolution]] = {}
+
+    def find(self, index: int,
+             print_: Fingerprint) -> Optional[tuple[int, float]]:
+        """Publish index's fingerprint; its twin and the largest difference
+        between their numbers, or None when index is a representative."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._published.issuperset(
+                range(index)))
+            self._published.add(index)
+            self._cond.notify_all()
+            group = self._representatives.setdefault(print_.structure, [])
+            for twin, other in group:
+                difference = other.difference(print_)
+                if difference is not None:
+                    return twin, difference
+            group.append((index, print_))
+            return None
+
+    def solution(self, index: int) -> Optional[SubgameSolution]:
+        with self._cond:
+            self._cond.wait_for(lambda: index in self._solutions)
+            return self._solutions[index]
+
+    def finish(self, index: int, solution: Optional[SubgameSolution]) -> None:
+        """Record index's solution (None if it raised); publishes it too."""
+        with self._cond:
+            self._published.add(index)
+            self._solutions[index] = solution
+            self._cond.notify_all()
 
 
 def safe_search(game: GameTree, blueprint: RealizationPlan,
@@ -144,17 +203,43 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
     matter, so they keep the blueprint.  Solver failures inside a subgame
     also fall back to the blueprint there, which is what makes the whole
     procedure never worse than not searching.
+
+    Subgames whose models match an earlier subgame's (solver.fingerprint,
+    as suit-mirrored Leduc states do) take that twin's solution instead of
+    a solve, once it passes their own model's checks (reuse_solution);
+    otherwise they are solved like any other.
     """
     context = prepare_search(game, blueprint, partition, alpha, beta)
     quantities, bounds = context.quantities, context.bounds
+    twins = _TwinTable()
 
     def solve_one(sub) -> SubgameSolution:
-        q = quantities[sub.index]
-        if q.eta is None:
-            return _skipped(game, sub, blueprint, "SkippedUnreachable")
-        model = build_constrained_milp(game, sub, q, bounds[sub.index],
-                                       blueprint, context.brvs)
-        return solve_subgame(game, model, blueprint, time_limit=time_limit)
+        solution = None
+        try:
+            q = quantities[sub.index]
+            if q.eta is None:
+                solution = _skipped(game, sub, blueprint, "SkippedUnreachable")
+                return solution
+            model = build_constrained_milp(game, sub, q, bounds[sub.index],
+                                           blueprint, context.brvs)
+            found = twins.find(sub.index,
+                               fingerprint(model.problem, model.warm))
+            if found is not None:
+                twin, difference = found
+                solution = reuse_solution(game, model, twins.solution(twin))
+                if solution is None:
+                    logger.debug("subgame %d: the solution of its twin %d "
+                                 "fails its checks", sub.index, twin)
+                else:
+                    logger.debug("subgame %d reuses the solution of its twin "
+                                 "%d (largest difference %.3g)", sub.index,
+                                 twin, difference)
+            if solution is None:
+                solution = solve_subgame(game, model, blueprint,
+                                         time_limit=time_limit)
+            return solution
+        finally:
+            twins.finish(sub.index, solution)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -58,6 +58,7 @@ from stackelberg_search.solver import (
     MilpProblem,
     MilpSolution,
     SolverError,
+    satisfies,
     solve_lp,
     solve_milp,
 )
@@ -190,7 +191,33 @@ def partition_subgames(game: GameTree, scheme: str, *,
                      for i, group in enumerate(groups))
     partition = SubgamePartition(subgames)
     check_partition(game, partition)
+    if scheme in ("explicit", "metadata"):
+        for sub in subgames:
+            _check_protected(game, sub)
     return partition
+
+
+def _check_protected(game: GameTree, sub: Subgame) -> None:
+    """Refuse a subgame whose refinement no head bound can keep safe.
+
+    That is a subgame with a terminal the follower reaches through an action
+    taken outside it, below a leader action inside it, with no follower
+    infoset inside on the way: the refinement then changes what the
+    follower's earlier choice earns, and no head bound holds that choice in
+    place.  The built-in schemes never form such subgames, so only the
+    user-supplied ones are checked.
+    """
+    tp1, tp2 = game.treeplex(LEADER), game.treeplex(FOLLOWER)
+    inside1, inside2 = set(sub.infosets[LEADER]), set(sub.infosets[FOLLOWER])
+    for z in sub.terminals:
+        if tp2.node_seq[z] != 0 \
+                and _local_seq(tp2, z, inside2) == _CONST_ONE \
+                and _local_seq(tp1, z, inside1) != _CONST_ONE:
+            raise GameError(
+                f"subgame {sub.index}: terminal {z} follows a follower action "
+                f"outside the subgame and a leader action inside it, with no "
+                f"follower infoset inside to bound; the search cannot keep it "
+                f"safe")
 
 
 def _checked_groups(game: GameTree, groups, source: str) -> list[list[int]]:
@@ -726,6 +753,9 @@ class SubgameSolution:
     used_fallback: bool
     wall_time: float
     bound_gap: float
+    twin_of: Optional[int] = None     # subgame whose solution was reused
+    # The incumbent's MILP variables; None when the subgame fell back.
+    assignment: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def blueprint_local_plan(game: GameTree, sub: Subgame,
@@ -780,10 +810,54 @@ def solve_subgame(game: GameTree, model: SubgameModel,
     if solution.status not in (OPTIMAL, INCUMBENT_TIME_LIMIT) or \
             solution.assignment is None:
         return fallback(solution.status, solution.wall_time)
-    for constraint_check in _bound_violations(model, solution):
-        raise SolverError(
-            f"subgame {sub.index}: incumbent violates bound "
-            f"{constraint_check!r} (solver bug)")
+    local, defect = _read_incumbent(game, model, solution)
+    if defect is not None:
+        raise SolverError(f"subgame {sub.index}: {defect} (solver bug)")
+    return SubgameSolution(index=sub.index, status=solution.status,
+                           objective=solution.objective, local_plan=local,
+                           used_fallback=False, wall_time=solution.wall_time,
+                           bound_gap=solution.bound_gap,
+                           assignment=solution.assignment)
+
+
+def reuse_solution(game: GameTree, model: SubgameModel,
+                   twin: SubgameSolution) -> Optional[SubgameSolution]:
+    """A twin subgame's incumbent as this model's solution, if it passes
+    this model's own checks; None otherwise.
+
+    The twin must have an assignment (a fallback has none) that meets every
+    row, column bound and binary of this model (solver.satisfies) and then
+    passes the bound and payoff checks solve_subgame applies.  The status is the
+    twin's; the gap is what separates this objective from the twin's
+    bound, objective + gap.
+    """
+    started = time.perf_counter()
+    x = twin.assignment
+    if x is None or not satisfies(model.problem, x):
+        return None
+    objective = float(np.dot(model.problem.lp.objective, x))
+    gap = max(0.0, twin.objective + twin.bound_gap - objective)
+    local, defect = _read_incumbent(
+        game, model, MilpSolution(twin.status, objective, x, gap, 0.0))
+    if defect is not None:
+        return None
+    return SubgameSolution(index=model.subgame.index, status=twin.status,
+                           objective=objective, local_plan=local,
+                           used_fallback=False,
+                           wall_time=time.perf_counter() - started,
+                           bound_gap=gap, twin_of=twin.index, assignment=x)
+
+
+def _read_incumbent(game: GameTree, model: SubgameModel,
+                    solution: MilpSolution,
+                    ) -> tuple[dict[int, float], Optional[str]]:
+    """The head-normalized local leader plan an incumbent encodes, and
+    what is wrong with the incumbent (None when it respects every head
+    bound and its objective is the payoff of the strategy it encodes)."""
+    sub = model.subgame
+    violated = next(_bound_violations(model, solution), None)
+    if violated is not None:
+        return {}, f"incumbent violates bound {violated!r}"
     local = {}
     for seq, var in model.r1_vars.items():
         local[seq] = float(np.clip(solution.assignment[var], 0.0, 1.0))
@@ -792,14 +866,10 @@ def solve_subgame(game: GameTree, model: SubgameModel,
                      sub.heads[LEADER])
     recomputed = _incumbent_payoff(model, solution, local)
     if abs(recomputed - solution.objective) > 1e-6:
-        raise SolverError(
-            f"subgame {sub.index}: incumbent objective "
-            f"{solution.objective!r} disagrees with the payoff "
-            f"{recomputed!r} of the strategy it encodes (solver bug)")
-    return SubgameSolution(index=sub.index, status=solution.status,
-                           objective=solution.objective, local_plan=local,
-                           used_fallback=False, wall_time=solution.wall_time,
-                           bound_gap=solution.bound_gap)
+        return local, (f"incumbent objective {solution.objective!r} "
+                       f"disagrees with the payoff {recomputed!r} of the "
+                       f"strategy it encodes")
+    return local, None
 
 
 def _incumbent_payoff(model: SubgameModel, solution: MilpSolution,

@@ -12,6 +12,7 @@ whenever no time limit truncates the search.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,6 +23,9 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 FEAS_TOL = 1e-6
 GAP_TOL = 1e-6
+# Two fingerprints match when every number agrees to within this, relative
+# to max(1, |number|).
+TWIN_TOL = 1e-12
 
 OPTIMAL = "Optimal"
 INCUMBENT_TIME_LIMIT = "IncumbentTimeLimit"
@@ -124,6 +128,74 @@ class MilpSolution:
         if self.assignment is None:
             raise SolverError("solution carries no assignment")
         return float(self.assignment[var])
+
+
+# ---------------------------------------------------------------------------
+# Model fingerprints and assignment checks
+
+
+@dataclass(frozen=True)
+class Fingerprint:
+    """A MILP and its warm start, reduced to what decides the solve.
+
+    structure digests what must match exactly: the column count and bounds,
+    the binaries, the warm start, and each row's variables and relation.
+    numbers holds the objective, then the coefficients and right-hand sides.
+    Rows are taken sorted by (variables, relation), so two models that add
+    the same rows in a different order have the same fingerprint.
+    """
+
+    structure: bytes
+    numbers: np.ndarray
+
+    def difference(self, other: "Fingerprint") -> Optional[float]:
+        """The largest absolute difference between the numbers of two
+        matching fingerprints; None when they do not match."""
+        if self.structure != other.structure:
+            return None
+        diff = np.abs(self.numbers - other.numbers)
+        if np.any(diff > TWIN_TOL * np.maximum(1.0, np.abs(self.numbers))):
+            return None
+        return float(diff.max(initial=0.0))
+
+
+def fingerprint(problem: MilpProblem, warm: np.ndarray) -> Fingerprint:
+    lp = problem.lp
+    rows = sorted(lp.rows, key=lambda row: (row[0], row[2]))
+    lengths = [len(row[0]) for row in rows]
+    digest = hashlib.sha256()
+    for part in ([lp.n_vars, len(rows), len(problem.binaries)],
+                 problem.binaries, lengths,
+                 [i for row in rows for i in row[0]]):
+        digest.update(np.asarray(part, dtype=np.int64).tobytes())
+    for part in (lp.lower, lp.upper, warm):
+        digest.update(np.asarray(part, dtype=np.float64).tobytes())
+    digest.update("".join(row[2] for row in rows).encode())
+    numbers = np.concatenate([
+        np.asarray(lp.objective, dtype=np.float64),
+        np.fromiter((v for row in rows for v in row[1]), dtype=np.float64,
+                    count=sum(lengths)),
+        np.fromiter((row[3] for row in rows), dtype=np.float64,
+                    count=len(rows))])
+    return Fingerprint(digest.digest(), numbers)
+
+
+def satisfies(problem: MilpProblem, x: np.ndarray) -> bool:
+    """Whether x meets every row and column bound within FEAS_TOL and sets
+    every binary to exactly 0 or 1."""
+    lp = problem.lp
+    if not np.all(np.isfinite(x)):
+        return False
+    if np.any(x < np.asarray(lp.lower) - FEAS_TOL) or \
+            np.any(x > np.asarray(lp.upper) + FEAS_TOL):
+        return False
+    binary = x[list(problem.binaries)]
+    if not np.all((binary == 0.0) | (binary == 1.0)):
+        return False
+    a_ub, b_ub, a_eq, b_eq = _split_rows(lp)
+    if a_ub is not None and np.any(a_ub @ x > b_ub + FEAS_TOL):
+        return False
+    return a_eq is None or bool(np.all(np.abs(a_eq @ x - b_eq) <= FEAS_TOL))
 
 
 # ---------------------------------------------------------------------------

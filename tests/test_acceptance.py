@@ -44,20 +44,14 @@ from stackelberg_search.harness import (
     run_single,
     safe_search,
 )
-from stackelberg_search.response import (
-    best_response,
-    compute_brvs,
-    compute_trunk,
-    count_pure_plans,
-)
+from stackelberg_search.response import best_response, count_pure_plans
 from stackelberg_search.search import (
     LOWER,
     UPPER,
     build_constrained_milp,
     build_full_milp,
-    compute_bounds,
-    compute_subgame_quantities,
     partition_subgames,
+    prepare_search,
     solve_subgame,
     sse_oracle,
 )
@@ -69,14 +63,10 @@ def _summary(text: str) -> None:
 
 
 def _search_pipeline(game, blueprint, alpha=0.5, beta=1.0, scheme="metadata"):
-    brvs = compute_brvs(game, blueprint)
-    response, _, _ = best_response(game, blueprint, brvs)
-    trunk = compute_trunk(game, response)
     partition = partition_subgames(game, scheme)
-    quantities = compute_subgame_quantities(game, partition, blueprint,
-                                            response)
-    bounds, trace = compute_bounds(game, brvs, trunk, partition, alpha, beta)
-    return brvs, partition, quantities, bounds, trace
+    context = prepare_search(game, blueprint, partition, alpha, beta)
+    return (context.brvs, partition, context.quantities, context.bounds,
+            context.trace)
 
 
 # ---------------------------------------------------------------------------

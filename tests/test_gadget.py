@@ -21,15 +21,13 @@ from stackelberg_search.games import (
     shared_exit_game,
     two_subgame_exit_game,
 )
-from stackelberg_search.response import best_response, compute_brvs, compute_trunk
 from stackelberg_search.search import (
     LOWER,
     BoundsMap,
     SubgameQuantities,
     build_constrained_milp,
-    compute_bounds,
-    compute_subgame_quantities,
     partition_subgames,
+    prepare_search,
     solve_subgame,
     sse_oracle,
     whole_game_subgame,
@@ -39,13 +37,9 @@ from stackelberg_search.solver import OPTIMAL, solve_milp
 
 def pipeline(game, alpha=0.5, beta=1.0, scheme="metadata"):
     r1 = fixed_blueprint(game).plan
-    brvs = compute_brvs(game, r1)
-    r2, _, _ = best_response(game, r1, brvs)
-    trunk = compute_trunk(game, r2)
     partition = partition_subgames(game, scheme)
-    quantities = compute_subgame_quantities(game, partition, r1, r2)
-    bounds, _ = compute_bounds(game, brvs, trunk, partition, alpha, beta)
-    return r1, brvs, partition, quantities, bounds
+    context = prepare_search(game, r1, partition, alpha, beta)
+    return r1, context.brvs, partition, context.quantities, context.bounds
 
 
 def test_group_heads_bounds_demo():
