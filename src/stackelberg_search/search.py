@@ -785,8 +785,10 @@ def solve_subgame(game: GameTree, model: SubgameModel,
     Failure means the solver produced no incumbent (timeout before the warm
     start, or an infeasible warm start coupled with an unsolved model); the
     blueprint restricted to the subgame is then returned, so search can
-    never do worse than not searching.  An incumbent that violates a head
-    bound beyond tolerance is a solver defect and raises.
+    never do worse than not searching.  An incumbent that violates a row or
+    bound of its model (a head bound, say) beyond tolerance, or whose
+    objective is not the payoff of the strategy it encodes, is a solver
+    defect and raises.
     """
     sub = model.subgame
 
@@ -825,15 +827,15 @@ def reuse_solution(game: GameTree, model: SubgameModel,
     """A twin subgame's incumbent as this model's solution, if it passes
     this model's own checks; None otherwise.
 
-    The twin must have an assignment (a fallback has none) that meets every
-    row, column bound and binary of this model (solver.satisfies) and then
-    passes the bound and payoff checks solve_subgame applies.  The status is the
-    twin's; the gap is what separates this objective from the twin's
-    bound, objective + gap.
+    The twin must have an assignment (a fallback has none) that passes the
+    checks solve_subgame applies to a fresh incumbent: every row, column
+    bound and binary of this model (solver.satisfies), then the payoff
+    recompute.  The status is the twin's; the gap is what separates this
+    objective from the twin's bound, objective + gap.
     """
     started = time.perf_counter()
     x = twin.assignment
-    if x is None or not satisfies(model.problem, x):
+    if x is None:
         return None
     objective = float(np.dot(model.problem.lp.objective, x))
     gap = max(0.0, twin.objective + twin.bound_gap - objective)
@@ -852,12 +854,12 @@ def _read_incumbent(game: GameTree, model: SubgameModel,
                     solution: MilpSolution,
                     ) -> tuple[dict[int, float], Optional[str]]:
     """The head-normalized local leader plan an incumbent encodes, and
-    what is wrong with the incumbent (None when it respects every head
-    bound and its objective is the payoff of the strategy it encodes)."""
+    what is wrong with the incumbent (None when it meets every row, column
+    bound and binary of its model, head bounds included, and its objective
+    is the payoff of the strategy it encodes)."""
     sub = model.subgame
-    violated = next(_bound_violations(model, solution), None)
-    if violated is not None:
-        return {}, f"incumbent violates bound {violated!r}"
+    if not satisfies(model.problem, solution.assignment):
+        return {}, "incumbent violates a row, bound or binary of its model"
     local = {}
     for seq, var in model.r1_vars.items():
         local[seq] = float(np.clip(solution.assignment[var], 0.0, 1.0))
@@ -896,17 +898,6 @@ def _incumbent_payoff(model: SubgameModel, solution: MilpSolution,
             f2 = 1.0 if solution.assignment[var] > 0.5 else 0.0
         total += weight * f1 * f2
     return total
-
-
-def _bound_violations(model: SubgameModel, solution: MilpSolution):
-    for idx, val, rel, rhs, name in model.problem.lp.rows:
-        if not name.startswith("bound-"):
-            continue
-        lhs = sum(v * solution.assignment[i] for i, v in zip(idx, val))
-        if rel == ">=" and lhs < rhs - 1e-6:
-            yield name
-        if rel == "<=" and lhs > rhs + 1e-6:
-            yield name
 
 
 # ---------------------------------------------------------------------------
@@ -974,8 +965,7 @@ def sse_oracle(game: GameTree) -> tuple[float, RealizationPlan]:
         for k in range(len(reach)):
             if response.probs[int(s2[k])] > 0.5:
                 var = r_vars[int(s1[k])]
-                lp.set_objective(var, lp.objective[var]
-                                 + float(reach[k] * u1[k]))
+                lp.objective[var] += float(reach[k] * u1[k])
 
         sol = solve_lp(lp)
         if sol.status != OPTIMAL:

@@ -8,6 +8,12 @@ meets the relaxation bound (``milp`` takes no warm start), wall-clock limits
 with anytime incumbents, and binaries that come back exactly 0 or 1.  HiGHS
 is deterministic, so two runs on the same problem produce the same solution
 whenever no time limit truncates the search.
+
+A LinearProgram keeps its constraints as one coordinate matrix.  A
+MilpProblem assembles it into HiGHS's two systems once; its solves and
+satisfies(), the one check an incumbent must pass, all read that assembly.
+The ``linprog`` and ``milp`` names of this module are looked up at each
+call, so patching them sees every LP and MIP.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,9 +38,9 @@ OPTIMAL = "Optimal"
 INCUMBENT_TIME_LIMIT = "IncumbentTimeLimit"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
-# scipy.optimize.milp status codes.
-_MIP_STATUS = {0: OPTIMAL, 1: INCUMBENT_TIME_LIMIT, 2: INFEASIBLE,
-               3: UNBOUNDED}
+# scipy.optimize.milp status codes; linprog shares 0, 2 and 3 (its 1 is an
+# iteration limit).
+_STATUS = {0: OPTIMAL, 1: INCUMBENT_TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 class SolverError(RuntimeError):
@@ -44,20 +51,37 @@ class SolverError(RuntimeError):
 class LinearProgram:
     """A maximization LP built incrementally.
 
-    Variables are dense integer ids; constraints hold sparse coefficient
-    lists.  Relations are "<=", ">=", "==".
+    Variables are dense integer ids.  The constraints are one coordinate
+    matrix in insertion order: entry k puts coef[k] at (row[k], col[k]), so
+    each row's entries are contiguous and in the order they were added.
+    Each row also has a relation ("<=", ">=" or "=="), a right-hand side
+    and a name.  Coefficients are checked for finiteness when a MilpProblem
+    assembles them, not here.
     """
 
     names: list[str] = field(default_factory=list)
     lower: list[float] = field(default_factory=list)
     upper: list[float] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
-    rows: list[tuple[list[int], list[float], str, float, str]] = \
-        field(default_factory=list)
+    row: list[int] = field(default_factory=list)
+    col: list[int] = field(default_factory=list)
+    coef: list[float] = field(default_factory=list)
+    relation: list[str] = field(default_factory=list)
+    rhs: list[float] = field(default_factory=list)
+    row_names: list[str] = field(default_factory=list)
 
     @property
     def n_vars(self) -> int:
         return len(self.names)
+
+    @property
+    def rows(self) -> list[tuple[list[int], list[float], str, float, str]]:
+        """A copy of the constraints, one (variables, coefficients,
+        relation, rhs, name) tuple per row."""
+        ends = np.searchsorted(self.row, range(1, len(self.rhs) + 1))
+        return [(self.col[a:b], self.coef[a:b], rel, rhs, name)
+                for a, b, rel, rhs, name in zip(
+                    [0, *ends], ends, self.relation, self.rhs, self.row_names)]
 
     def add_var(self, name: str, lower: float = 0.0, upper: float = np.inf,
                 objective: float = 0.0) -> int:
@@ -69,21 +93,19 @@ class LinearProgram:
         self.objective.append(float(objective))
         return len(self.names) - 1
 
-    def set_objective(self, var: int, coeff: float) -> None:
-        self.objective[var] = float(coeff)
-
     def add_constraint(self, coeffs: dict[int, float], relation: str,
                        rhs: float, name: str = "") -> None:
         if relation not in ("<=", ">=", "=="):
             raise SolverError(f"bad relation {relation!r}")
-        idx, val = [], []
+        k = len(self.rhs)
         for var, coef in coeffs.items():
-            if not np.isfinite(coef):
-                raise SolverError(f"constraint {name!r}: non-finite coefficient")
             if coef != 0.0:
-                idx.append(var)
-                val.append(float(coef))
-        self.rows.append((idx, val, relation, float(rhs), name))
+                self.row.append(k)
+                self.col.append(var)
+                self.coef.append(float(coef))
+        self.relation.append(relation)
+        self.rhs.append(float(rhs))
+        self.row_names.append(name)
 
     def dump(self) -> str:
         """Fixed-format text rendering for debugging."""
@@ -105,6 +127,16 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class MilpProblem:
+    """An LP whose listed variables must be 0 or 1, assembled for HiGHS.
+
+    The two constraint systems HiGHS takes, A_ub x <= b_ub (">=" rows
+    negated) and A_eq x == b_eq, are built from the LP's coordinate matrix
+    on first use and kept, in the LP's row order; every LP and MIP solve of
+    the problem and every satisfies() check reads that one assembly.  So
+    the LP must not change once a MilpProblem wraps it: wrap a changed copy
+    (dataclasses.replace) in a new MilpProblem instead.
+    """
+
     lp: LinearProgram
     binaries: tuple[int, ...]
 
@@ -114,6 +146,66 @@ class MilpProblem:
                     and self.lp.upper[var] <= 1.0 + FEAS_TOL):
                 raise SolverError(
                     f"binary variable {self.lp.names[var]} lacks [0,1] bounds")
+
+    @cached_property
+    def _systems(self):
+        """(A_ub, b_ub, A_eq, b_eq); a matrix is None when it has no row."""
+        lp = self.lp
+        row = np.asarray(lp.row, dtype=np.intp)
+        coef = np.asarray(lp.coef, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(coef))
+        if bad.size:
+            raise SolverError(f"constraint {lp.row_names[row[bad[0]]]!r}: "
+                              f"non-finite coefficient")
+        col = np.asarray(lp.col, dtype=np.intp)
+        relation = np.asarray(lp.relation, dtype="U2")
+        sign = np.where(relation == ">=", -1.0, 1.0)
+        rhs = np.asarray(lp.rhs, dtype=np.float64)
+        systems = []
+        for in_system in (relation != "==", relation == "=="):
+            number = np.cumsum(in_system) - 1  # row id within the system
+            entries = in_system[row]
+            n_rows = int(in_system.sum())
+            matrix = sp.csr_matrix(
+                (sign[row[entries]] * coef[entries],
+                 (number[row[entries]], col[entries])),
+                shape=(n_rows, lp.n_vars)) if n_rows else None
+            systems += [matrix, sign[in_system] * rhs[in_system]]
+        return tuple(systems)
+
+    def _solve_lp(self, fixed: Optional[dict[int, float]] = None,
+                  ) -> tuple[str, Optional[tuple[float, np.ndarray]]]:
+        """The status of the relaxation with the given variables fixed, and
+        its (objective, x) when it is optimal."""
+        bounds = np.column_stack([self.lp.lower, self.lp.upper])
+        for var, value in (fixed or {}).items():
+            bounds[var] = value
+        a_ub, b_ub, a_eq, b_eq = self._systems
+        res = linprog(-np.asarray(self.lp.objective),  # linprog minimizes
+                      A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs")
+        if res.status not in (0, 2, 3):
+            raise SolverError(f"LP backend failure: {res.message}")
+        if res.status != 0:
+            return _STATUS[res.status], None
+        return OPTIMAL, (float(-res.fun), np.array(res.x))
+
+    def _solve_mip(self, time_limit: Optional[float]):
+        """milp with integrality on the binaries."""
+        a_ub, b_ub, a_eq, b_eq = self._systems
+        integrality = np.zeros(self.lp.n_vars)
+        integrality[list(self.binaries)] = 1
+        constraints = []
+        if a_ub is not None:
+            constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
+        if a_eq is not None:
+            constraints.append(LinearConstraint(a_eq, b_eq, b_eq))
+        options = {"mip_rel_gap": GAP_TOL}
+        if time_limit is not None:
+            options["time_limit"] = time_limit
+        return milp(-np.asarray(self.lp.objective), integrality=integrality,
+                    bounds=Bounds(self.lp.lower, self.lp.upper),
+                    constraints=constraints, options=options)
 
 
 @dataclass
@@ -192,7 +284,7 @@ def satisfies(problem: MilpProblem, x: np.ndarray) -> bool:
     binary = x[list(problem.binaries)]
     if not np.all((binary == 0.0) | (binary == 1.0)):
         return False
-    a_ub, b_ub, a_eq, b_eq = _split_rows(lp)
+    a_ub, b_ub, a_eq, b_eq = problem._systems
     if a_ub is not None and np.any(a_ub @ x > b_ub + FEAS_TOL):
         return False
     return a_eq is None or bool(np.all(np.abs(a_eq @ x - b_eq) <= FEAS_TOL))
@@ -202,103 +294,22 @@ def satisfies(problem: MilpProblem, x: np.ndarray) -> bool:
 # LP solving
 
 
-def _split_rows(lp: LinearProgram):
-    """COO triplets for the <= system (>= negated) and the == system."""
-    ub_r, ub_c, ub_v, ub_rhs = [], [], [], []
-    eq_r, eq_c, eq_v, eq_rhs = [], [], [], []
-    for idx, val, rel, rhs, _ in lp.rows:
-        if rel == "==":
-            row = len(eq_rhs)
-            eq_rhs.append(rhs)
-            eq_r.extend([row] * len(idx))
-            eq_c.extend(idx)
-            eq_v.extend(val)
-        else:
-            sign = 1.0 if rel == "<=" else -1.0
-            row = len(ub_rhs)
-            ub_rhs.append(sign * rhs)
-            ub_r.extend([row] * len(idx))
-            ub_c.extend(idx)
-            ub_v.extend([sign * v for v in val])
-    n = lp.n_vars
-    a_ub = sp.csr_matrix((ub_v, (ub_r, ub_c)), shape=(len(ub_rhs), n)) \
-        if ub_rhs else None
-    a_eq = sp.csr_matrix((eq_v, (eq_r, eq_c)), shape=(len(eq_rhs), n)) \
-        if eq_rhs else None
-    return a_ub, np.array(ub_rhs), a_eq, np.array(eq_rhs)
-
-
-class _LpCore:
-    """Pre-assembled matrices, so each LP only swaps variable bounds."""
-
-    def __init__(self, lp: LinearProgram):
-        self.a_ub, self.b_ub, self.a_eq, self.b_eq = _split_rows(lp)
-        self.c = -np.array(lp.objective)  # linprog minimizes
-        self.base_bounds = np.column_stack([lp.lower, lp.upper])
-
-    def solve(self, overrides: Optional[dict[int, tuple[float, float]]] = None):
-        bounds = self.base_bounds
-        if overrides:
-            bounds = bounds.copy()
-            for var, (lo, hi) in overrides.items():
-                bounds[var, 0] = lo
-                bounds[var, 1] = hi
-        return linprog(self.c, A_ub=self.a_ub, b_ub=self.b_ub,
-                       A_eq=self.a_eq, b_eq=self.b_eq, bounds=bounds,
-                       method="highs")
-
-    def solve_mip(self, binaries: tuple[int, ...],
-                  time_limit: Optional[float]):
-        integrality = np.zeros(len(self.c))
-        integrality[list(binaries)] = 1
-        constraints = []
-        if self.a_ub is not None:
-            constraints.append(LinearConstraint(self.a_ub, -np.inf, self.b_ub))
-        if self.a_eq is not None:
-            constraints.append(LinearConstraint(self.a_eq, self.b_eq,
-                                                self.b_eq))
-        options = {"mip_rel_gap": GAP_TOL}
-        if time_limit is not None:
-            options["time_limit"] = time_limit
-        return milp(self.c, integrality=integrality,
-                    bounds=Bounds(self.base_bounds[:, 0],
-                                  self.base_bounds[:, 1]),
-                    constraints=constraints, options=options)
-
-
-def _status_from_linprog(res) -> str:
-    if res.status == 0:
-        return OPTIMAL
-    if res.status == 2:
-        return INFEASIBLE
-    if res.status == 3:
-        return UNBOUNDED
-    raise SolverError(f"LP backend failure: {res.message}")
-
-
 def solve_lp(lp: LinearProgram) -> MilpSolution:
     t0 = time.perf_counter()
-    res = _LpCore(lp).solve()
-    status = _status_from_linprog(res)
-    if status != OPTIMAL:
-        return MilpSolution(status, float("nan"), None, float("inf"),
-                            time.perf_counter() - t0)
-    return MilpSolution(OPTIMAL, float(-res.fun), np.array(res.x), 0.0,
-                        time.perf_counter() - t0)
+    status, best = MilpProblem(lp, ())._solve_lp()
+    return _finish(status, t0, best, best[0] if best else np.inf)
 
 
 # ---------------------------------------------------------------------------
 # Mixed-integer solves
 
 
-def _fix_binaries(core: _LpCore, binaries: tuple[int, ...],
+def _fix_binaries(problem: MilpProblem,
                   x: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
     """Objective and assignment of the LP with every binary fixed at its
     rounded value in x; None if that LP is infeasible."""
-    res = core.solve({var: (round(float(x[var])),) * 2 for var in binaries})
-    if _status_from_linprog(res) != OPTIMAL:
-        return None
-    return float(-res.fun), np.array(res.x)
+    return problem._solve_lp({var: round(float(x[var]))
+                              for var in problem.binaries})[1]
 
 
 def _finish(status: str, started: float,
@@ -325,20 +336,16 @@ def solve_milp(problem: MilpProblem,
     incumbent is returned with the outstanding bound gap.
     """
     t0 = time.perf_counter()
-    core = _LpCore(problem.lp)
-    binaries = problem.binaries
-
     best = None
     if warm is not None:
-        best = _fix_binaries(core, binaries, warm)
+        best = _fix_binaries(problem, warm)
         if best is None:
             raise SolverError("warm start is infeasible")
 
-    root = core.solve()
-    root_status = _status_from_linprog(root)
+    root_status, root = problem._solve_lp()
     if root_status != OPTIMAL:
         return _finish(root_status, t0)
-    root_bound = float(-root.fun)
+    root_bound = root[0]
     time_left = None if time_limit is None \
         else time_limit - (time.perf_counter() - t0)
     if time_left is not None and time_left <= 0.0:
@@ -347,9 +354,9 @@ def solve_milp(problem: MilpProblem,
             root_bound - best[0] <= GAP_TOL * (1.0 + abs(best[0])):
         return _finish(OPTIMAL, t0, best, root_bound)
 
-    res = core.solve_mip(binaries, time_left)
+    res = problem._solve_mip(time_left)
     if res.x is not None:
-        polished = _fix_binaries(core, binaries, res.x)
+        polished = _fix_binaries(problem, res.x)
         if polished is None:
             raise SolverError("MIP solution is infeasible with its binaries "
                               "fixed")
@@ -358,7 +365,7 @@ def solve_milp(problem: MilpProblem,
     if best is None:
         if res.status not in (1, 2, 3):
             raise SolverError(f"MIP backend failure: {res.message}")
-        return _finish(_MIP_STATUS[res.status], t0)
+        return _finish(_STATUS[res.status], t0)
     bound = root_bound
     if res.status in (0, 1) and res.mip_dual_bound is not None:
         bound = min(bound, -res.mip_dual_bound)

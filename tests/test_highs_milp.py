@@ -8,6 +8,8 @@
 * Binaries in a returned assignment are exactly 0.0 or 1.0.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,15 +77,12 @@ def _forbid_milp(*args, **kwargs):
 
 def _warm_lp_objective(problem, warm):
     """The LP with the warm start's binaries fixed, solved on its own."""
-    lp = LinearProgram()
-    lp.names = list(problem.lp.names)
-    lp.lower = list(problem.lp.lower)
-    lp.upper = list(problem.lp.upper)
-    lp.objective = list(problem.lp.objective)
-    lp.rows = list(problem.lp.rows)
+    lower = list(problem.lp.lower)
+    upper = list(problem.lp.upper)
     for var in problem.binaries:
-        lp.lower[var] = lp.upper[var] = float(round(warm[var]))
-    solution = solve_lp(lp)
+        lower[var] = upper[var] = float(round(warm[var]))
+    solution = solve_lp(dataclasses.replace(problem.lp, lower=lower,
+                                            upper=upper))
     assert solution.status == OPTIMAL
     return solution.objective
 
@@ -111,6 +110,31 @@ def test_warm_start_optimal_at_the_root_needs_no_mip(monkeypatch, goofspiel):
     assert sol.status == OPTIMAL
     assert sol.bound_gap <= solver.GAP_TOL * (1.0 + abs(sol.objective))
     assert sol.objective == _warm_lp_objective(model.problem, model.warm)
+
+
+def test_every_solve_goes_through_the_module_bindings(monkeypatch, goofspiel,
+                                                      milp_calls):
+    """Patching solver.linprog and solver.milp sees every LP and MIP, as
+    perfbench's LP count and cap check need."""
+    lps = []
+    original = solver.linprog
+
+    def counting(*args, **kwargs):
+        lps.append(kwargs.get("bounds"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "linprog", counting)
+    lp = LinearProgram()
+    a = lp.add_var("a", 0.0, 1.0, objective=1.0)
+    lp.add_constraint({a: 1.0}, "<=", 1.0)
+    solve_lp(lp)
+    assert (len(lps), len(milp_calls)) == (1, 0)
+
+    lps.clear()
+    model = goofspiel(0)
+    solve_milp(model.problem, warm=model.warm)
+    assert len(lps) >= 2    # the warm start's fixed-binary LP and the root
+    assert milp_calls == []
 
 
 def test_capped_solve_is_sandwiched_and_stops_near_its_cap(leduc, milp_calls):

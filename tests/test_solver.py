@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from stackelberg_search import solver
 from stackelberg_search.solver import (
     GAP_TOL,
     INCUMBENT_TIME_LIMIT,
@@ -106,15 +108,12 @@ def _random_milp(seed: int) -> MilpProblem:
 def _enumerate_optimum(problem: MilpProblem) -> float:
     best = -np.inf
     for pattern in itertools.product([0.0, 1.0], repeat=len(problem.binaries)):
-        lp = LinearProgram()
-        lp.names = list(problem.lp.names)
-        lp.lower = list(problem.lp.lower)
-        lp.upper = list(problem.lp.upper)
-        lp.objective = list(problem.lp.objective)
-        lp.rows = list(problem.lp.rows)
+        lower = list(problem.lp.lower)
+        upper = list(problem.lp.upper)
         for var, val in zip(problem.binaries, pattern):
-            lp.lower[var] = lp.upper[var] = val
-        sol = solve_lp(lp)
+            lower[var] = upper[var] = val
+        sol = solve_lp(dataclasses.replace(problem.lp, lower=lower,
+                                           upper=upper))
         if sol.status == OPTIMAL:
             best = max(best, sol.objective)
     return best
@@ -184,3 +183,31 @@ def test_lp_dump_fixed_format():
     assert text.splitlines()[0] == "maximize"
     assert "[cap] +1 x <= 0.5" in text
     assert "0 <= x <= 1" in text
+
+
+def _forbid_lp(*args, **kwargs):
+    raise AssertionError("an LP reached HiGHS")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solve", [
+    solve_lp, lambda lp: solve_milp(MilpProblem(lp, ()))])
+def test_non_finite_coefficient_is_refused_before_any_lp(monkeypatch, bad,
+                                                         solve):
+    monkeypatch.setattr(solver, "linprog", _forbid_lp)
+    lp = LinearProgram()
+    x = lp.add_var("x", 0.0, 1.0, objective=1.0)
+    y = lp.add_var("y", 0.0, 1.0)
+    lp.add_constraint({x: 1.0}, "<=", 1.0, name="fine")
+    with pytest.raises(SolverError,
+                       match="constraint 'broken': non-finite coefficient"):
+        lp.add_constraint({x: 1.0, y: bad}, ">=", 0.0, name="broken")
+        solve(lp)
+
+
+def test_bad_relation_is_refused_when_added():
+    lp = LinearProgram()
+    x = lp.add_var("x", 0.0, 1.0)
+    with pytest.raises(SolverError, match="bad relation '<'"):
+        lp.add_constraint({x: 1.0}, "<", 1.0, name="strict")
+    assert lp.rows == []

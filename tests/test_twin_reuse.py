@@ -35,7 +35,12 @@ from stackelberg_search.search import (
     reuse_solution,
     solve_subgame,
 )
-from stackelberg_search.solver import GAP_TOL, OPTIMAL, fingerprint
+from stackelberg_search.solver import (
+    GAP_TOL,
+    OPTIMAL,
+    MilpProblem,
+    fingerprint,
+)
 
 # Suit-mirrored public states of Leduc n=3 (rho 0.1, zero-sum blueprint).
 LEDUC3_TWINS = [(0, 1), (4, 5), (6, 7), (8, 9), (12, 13), (14, 15), (16, 17),
@@ -198,11 +203,11 @@ def test_perturbed_bound_is_solved_on_its_own(shared_exit, monkeypatch):
     def perturbed(game, sub, *args):
         model = original(game, sub, *args)
         if sub.index == 1:
-            rows = model.problem.lp.rows
-            k = next(k for k, row in enumerate(rows)
-                     if row[4].startswith("bound-"))
-            idx, val, rel, rhs, name = rows[k]
-            rows[k] = (idx, val, rel, rhs + 1e-9, name)
+            lp = model.problem.lp
+            k = next(k for k, name in enumerate(lp.row_names)
+                     if name.startswith("bound-"))
+            lp.rhs[k] += 1e-9
+            model.problem = MilpProblem(lp, model.problem.binaries)
         return model
 
     monkeypatch.setattr(harness, "build_constrained_milp", perturbed)
