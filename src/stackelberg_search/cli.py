@@ -130,6 +130,11 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _finite_or_none(value: float) -> Optional[float]:
+    """value for a JSON report, which has no infinity or nan."""
+    return value if np.isfinite(value) else None
+
+
 def cmd_search(args) -> int:
     game = load_game(args.game)
     blueprint = load_plan(game, args.blueprint)
@@ -147,6 +152,9 @@ def cmd_search(args) -> int:
                 "status": solution.status,
                 "used_fallback": solution.used_fallback,
                 "twin_of": solution.twin_of,
+                "bound_gap": _finite_or_none(solution.bound_gap),
+                "root_bound": _finite_or_none(solution.root_bound),
+                "mip_nodes": solution.mip_nodes,
                 "local_plan": {str(k): v
                                for k, v in sorted(solution.local_plan.items())},
             }, handle, indent=1)
@@ -159,7 +167,7 @@ def cmd_search(args) -> int:
                 "subgame": index,
                 "infoset": infoset,
                 "direction": direction,
-                "value": value if value > float("-inf") else None,
+                "value": _finite_or_none(value),
             })
     with open(os.path.join(args.out, "bounds-report.json"), "w",
               encoding="utf-8") as handle:

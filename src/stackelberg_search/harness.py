@@ -20,7 +20,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from stackelberg_search.blueprint import make_blueprint
 from stackelberg_search.efg import (
@@ -36,6 +36,7 @@ from stackelberg_search.response import best_response
 from stackelberg_search.search import (
     NO_BOUNDS,
     BoundsMap,
+    SubgameModel,
     SubgamePartition,
     SubgameQuantities,
     SubgameSolution,
@@ -153,7 +154,8 @@ class _TwinTable:
     the answer does not depend on thread timing; only subgames without a
     twin (the representatives) keep their fingerprint.  Waits only ever go
     to lower indices, which a FIFO pool has already started, so none blocks
-    for good.
+    for good.  No subgame waits for a twin's solution: solution() answers
+    at once.
     """
 
     def __init__(self) -> None:
@@ -180,16 +182,25 @@ class _TwinTable:
             return None
 
     def solution(self, index: int) -> Optional[SubgameSolution]:
+        """index's solution; None while it is unfinished (or if it raised)."""
         with self._cond:
-            self._cond.wait_for(lambda: index in self._solutions)
-            return self._solutions[index]
+            return self._solutions.get(index)
 
     def finish(self, index: int, solution: Optional[SubgameSolution]) -> None:
-        """Record index's solution (None if it raised); publishes it too."""
+        """Record index's solution (None if it raised or was deferred);
+        publishes it too."""
         with self._cond:
             self._published.add(index)
             self._solutions[index] = solution
             self._cond.notify_all()
+
+
+class _Deferred(NamedTuple):
+    """A twin whose representative was still solving when it was found."""
+
+    model: SubgameModel
+    twin: int
+    difference: float
 
 
 def safe_search(game: GameTree, blueprint: RealizationPlan,
@@ -207,13 +218,15 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
     Subgames whose models match an earlier subgame's (solver.fingerprint,
     as suit-mirrored Leduc states do) take that twin's solution instead of
     a solve, once it passes their own model's checks (reuse_solution);
-    otherwise they are solved like any other.
+    otherwise they are solved like any other.  With several workers, a
+    twin whose representative is still solving is set aside, not waited
+    for, and settled once the pool drains.
     """
     context = prepare_search(game, blueprint, partition, alpha, beta)
     quantities, bounds = context.quantities, context.bounds
     twins = _TwinTable()
 
-    def solve_one(sub) -> SubgameSolution:
+    def solve_one(sub) -> Union[SubgameSolution, _Deferred]:
         solution = None
         try:
             q = quantities[sub.index]
@@ -225,25 +238,40 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
             found = twins.find(sub.index,
                                fingerprint(model.problem, model.warm))
             if found is not None:
-                twin, difference = found
-                solution = reuse_solution(game, model, twins.solution(twin))
-                if solution is None:
-                    logger.debug("subgame %d: the solution of its twin %d "
-                                 "fails its checks", sub.index, twin)
-                else:
-                    logger.debug("subgame %d reuses the solution of its twin "
-                                 "%d (largest difference %.3g)", sub.index,
-                                 twin, difference)
-            if solution is None:
+                job = _Deferred(model, *found)
+                if twins.solution(job.twin) is None:
+                    return job
+                solution = settle(job)
+            else:
                 solution = solve_subgame(game, model, blueprint,
                                          time_limit=time_limit)
             return solution
         finally:
             twins.finish(sub.index, solution)
 
+    def settle(job: Union[SubgameSolution, _Deferred]) -> SubgameSolution:
+        """A twin's solution: its representative's, once that passes the
+        twin's checks, else its own solve."""
+        if isinstance(job, SubgameSolution):
+            return job
+        index = job.model.subgame.index
+        solution = reuse_solution(game, job.model, twins.solution(job.twin))
+        if solution is None:
+            logger.debug("subgame %d: the solution of its twin %d fails its "
+                         "checks", index, job.twin)
+            return solve_subgame(game, job.model, blueprint,
+                                 time_limit=time_limit)
+        logger.debug("subgame %d reuses the solution of its twin %d "
+                     "(largest difference %.3g)", index, job.twin,
+                     job.difference)
+        return solution
+
+    # With one worker every representative has finished before its twins
+    # are found, so no twin is deferred.
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            solutions = list(pool.map(solve_one, partition.subgames))
+            found = list(pool.map(solve_one, partition.subgames))
+            solutions = list(pool.map(settle, found))
     else:
         solutions = [solve_one(sub) for sub in partition]
     local_plans = {s.index: s.local_plan for s in solutions}

@@ -504,8 +504,8 @@ def prepare_search(game: GameTree, blueprint: RealizationPlan,
 # ---------------------------------------------------------------------------
 # MILP assembly
 
-# Leaves with no in-subgame decision variable for a player cap p(z) by the
-# constant 1 instead; this sentinel marks that case.
+# Leaves with no in-subgame decision variable for a player take the constant
+# 1 in its place; this sentinel marks that case.
 _CONST_ONE = -1
 
 
@@ -547,7 +547,27 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
     Maximizes the leader's full-game payoff contribution of the subgame
     subject to: sequence-form flow for both players (heads normalized to 1),
     exact follower best-response structure via slack variables and big-M,
-    entry-mass conservation, and the head-value bounds.
+    entry-mass conservation, the head-value bounds, and joint-reach rows
+    that couple the two players' flows (Bosansky & Cermak, AAAI 2015):
+
+    - each inner node h has a reach x(h) in [0, 1], fixed to 1 at the
+      initial states; a leaf's reach is its p(z);
+    - a chance node's children have its reach;
+    - a player node's children's reaches sum to its own, and each child c
+      is capped by the acting player's sequence to c (always local: the
+      acting infoset lies inside the subgame);
+    - each leaf has the McCormick row p(z) >= r1 + r2 - 1 over its local
+      sequences, a side with none being the constant 1.
+
+    The caps p(z) <= r1 and p(z) <= r2 follow from the chain
+    p(z) <= x(c) <= r_i(seq), so the model has no separate rows for them.
+    The rows cut off no integer solution: at any integer r2, the mass row
+    forces p(z) = r1 * r2 on every leaf with cj > 0 (each p(z) is at most
+    r1 * r2, and the mass is what r1 * r2 puts there), and a leaf with
+    cj = 0 has objective weight 0, so p(z) = r1 * r2 costs nothing there.
+    Then x(h) = r1(h) * r2(h), the product of the local sequences to h,
+    meets every reach row, so the integer optimum is unchanged; only the
+    relaxation tightens.
     """
     tp1 = game.treeplex(LEADER)
     tp2 = game.treeplex(FOLLOWER)
@@ -667,19 +687,44 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
         p = lp.add_var(f"p[z{z}]", 0.0, 1.0,
                        objective=quantities.cj[z] * game.node(z).payoffs[0])
         p_vars[z] = p
-        s1 = leaf_seq1[z]
-        if s1 != _CONST_ONE:
-            lp.add_constraint({p: 1.0, r1_vars[s1]: -1.0}, "<=", 0.0,
-                              name=f"p-cap1-z{z}")
-        s2 = leaf_seq2[z]
-        if s2 != _CONST_ONE:
-            var = r2_vars.get(s2, entry2_vars.get(s2))
-            lp.add_constraint({p: 1.0, var: -1.0}, "<=", 0.0,
-                              name=f"p-cap2-z{z}")
         if quantities.cj[z] != 0.0:
             mass_coeffs[p] = quantities.cj[z]
     if mass_coeffs:
         lp.add_constraint(mass_coeffs, "==", quantities.mass, name="mass")
+
+    # Joint reach: x(h) per inner node, 1 at the initial states; a leaf's
+    # reach is its p(z).  Sorted node ids keep mirrored subgames' models
+    # alike (solver.fingerprint).
+    reach = dict(p_vars)
+    for h in sorted(sub.nodes):
+        if h not in reach:
+            low = 1.0 if h in sub.initial else 0.0
+            reach[h] = lp.add_var(f"x[h{h}]", low, 1.0)
+    for h in sorted(sub.nodes):
+        node = game.node(h)
+        if node.kind == "chance":
+            for c in node.children:
+                lp.add_constraint({reach[c]: 1.0, reach[h]: -1.0}, "==", 0.0,
+                                  name=f"reach-eq-h{c}")
+        elif node.kind == "player":
+            tp, seq_vars = (tp1, r1_vars) if node.player == LEADER \
+                else (tp2, r2_vars)
+            coeffs = {reach[h]: -1.0}
+            for c in node.children:
+                coeffs[reach[c]] = 1.0
+                lp.add_constraint({reach[c]: 1.0,
+                                   seq_vars[int(tp.node_seq[c])]: -1.0},
+                                  "<=", 0.0, name=f"reach-cap-h{c}")
+            lp.add_constraint(coeffs, "==", 0.0, name=f"reach-sum-h{h}")
+    for z in sub.terminals:
+        # McCormick: p(z) >= r1 + r2 - 1, a constant-one side moved right.
+        coeffs, rhs = {p_vars[z]: 1.0}, -1.0
+        for s, seq_vars in ((leaf_seq1[z], r1_vars), (leaf_seq2[z], r2_vars)):
+            if s == _CONST_ONE:
+                rhs += 1.0
+            else:
+                coeffs[seq_vars[s]] = -1.0
+        lp.add_constraint(coeffs, ">=", rhs, name=f"reach-lo-z{z}")
 
     binaries = tuple(sorted(list(r2_vars.values()) + list(entry2_vars.values())))
     problem = MilpProblem(lp, binaries)
@@ -753,6 +798,8 @@ class SubgameSolution:
     used_fallback: bool
     wall_time: float
     bound_gap: float
+    root_bound: float = float("nan")  # MilpSolution.root_bound of the solve
+    mip_nodes: int = 0                # MilpSolution.mip_nodes of the solve
     twin_of: Optional[int] = None     # subgame whose solution was reused
     # The incumbent's MILP variables; None when the subgame fell back.
     assignment: Optional[np.ndarray] = field(default=None, repr=False)
@@ -819,6 +866,8 @@ def solve_subgame(game: GameTree, model: SubgameModel,
                            objective=solution.objective, local_plan=local,
                            used_fallback=False, wall_time=solution.wall_time,
                            bound_gap=solution.bound_gap,
+                           root_bound=solution.root_bound,
+                           mip_nodes=solution.mip_nodes,
                            assignment=solution.assignment)
 
 
@@ -830,8 +879,9 @@ def reuse_solution(game: GameTree, model: SubgameModel,
     The twin must have an assignment (a fallback has none) that passes the
     checks solve_subgame applies to a fresh incumbent: every row, column
     bound and binary of this model (solver.satisfies), then the payoff
-    recompute.  The status is the twin's; the gap is what separates this
-    objective from the twin's bound, objective + gap.
+    recompute.  The status, root bound and node count are the twin's; the
+    gap is what separates this objective from the twin's bound,
+    objective + gap.
     """
     started = time.perf_counter()
     x = twin.assignment
@@ -847,7 +897,9 @@ def reuse_solution(game: GameTree, model: SubgameModel,
                            objective=objective, local_plan=local,
                            used_fallback=False,
                            wall_time=time.perf_counter() - started,
-                           bound_gap=gap, twin_of=twin.index, assignment=x)
+                           bound_gap=gap, root_bound=twin.root_bound,
+                           mip_nodes=twin.mip_nodes, twin_of=twin.index,
+                           assignment=x)
 
 
 def _read_incumbent(game: GameTree, model: SubgameModel,

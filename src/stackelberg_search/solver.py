@@ -215,6 +215,10 @@ class MilpSolution:
     assignment: Optional[np.ndarray]
     bound_gap: float
     wall_time: float
+    # solve_milp's LP relaxation optimum (nan when it solved none), and the
+    # number of branch-and-bound nodes HiGHS explored (0 when it ran no MIP).
+    root_bound: float = float("nan")
+    mip_nodes: int = 0
 
     def value(self, var: int) -> float:
         if self.assignment is None:
@@ -314,15 +318,17 @@ def _fix_binaries(problem: MilpProblem,
 
 def _finish(status: str, started: float,
             best: Optional[tuple[float, np.ndarray]] = None,
-            bound: float = np.inf) -> MilpSolution:
+            bound: float = np.inf, root_bound: float = float("nan"),
+            mip_nodes: int = 0) -> MilpSolution:
     """The solution for an incumbent (objective, x), if any, whose value is
     bounded above by bound."""
     wall = time.perf_counter() - started
     if best is None:
-        return MilpSolution(status, float("nan"), None, float("inf"), wall)
+        return MilpSolution(status, float("nan"), None, float("inf"), wall,
+                            root_bound, mip_nodes)
     objective, x = best
     return MilpSolution(status, objective, x, max(0.0, bound - objective),
-                        wall)
+                        wall, root_bound, mip_nodes)
 
 
 def solve_milp(problem: MilpProblem,
@@ -349,10 +355,10 @@ def solve_milp(problem: MilpProblem,
     time_left = None if time_limit is None \
         else time_limit - (time.perf_counter() - t0)
     if time_left is not None and time_left <= 0.0:
-        return _finish(INCUMBENT_TIME_LIMIT, t0, best, root_bound)
+        return _finish(INCUMBENT_TIME_LIMIT, t0, best, root_bound, root_bound)
     if best is not None and \
             root_bound - best[0] <= GAP_TOL * (1.0 + abs(best[0])):
-        return _finish(OPTIMAL, t0, best, root_bound)
+        return _finish(OPTIMAL, t0, best, root_bound, root_bound)
 
     res = problem._solve_mip(time_left)
     if res.x is not None:
@@ -362,12 +368,14 @@ def solve_milp(problem: MilpProblem,
                               "fixed")
         if best is None or polished[0] > best[0]:
             best = polished
+    nodes = int(res.mip_node_count or 0)
     if best is None:
         if res.status not in (1, 2, 3):
             raise SolverError(f"MIP backend failure: {res.message}")
-        return _finish(_STATUS[res.status], t0)
+        return _finish(_STATUS[res.status], t0, root_bound=root_bound,
+                       mip_nodes=nodes)
     bound = root_bound
     if res.status in (0, 1) and res.mip_dual_bound is not None:
         bound = min(bound, -res.mip_dual_bound)
     return _finish(OPTIMAL if res.status == 0 else INCUMBENT_TIME_LIMIT, t0,
-                   best, bound)
+                   best, bound, root_bound, nodes)

@@ -93,13 +93,13 @@ def _two_stage():
 GOLDEN = {
     "goofspiel-n3-m2-uniform": (
         _goofspiel, 27,
-        "45bba3bbf2bccbdf8cd6e29161cfa3ee0a83c545c7e3d5e72fc3d2bfaeb6b4fc"),
+        "0939bdbdc2ace9397d1eabcf9fd55bd2d4899d6971d4da8990139226cb99d5f2"),
     "leduc-n2-uniform": (
         _leduc, 44,
-        "decbe8c950d8dbc72cd066c5d8f8b2ffe1068d473d87e54f83679b473b82a818"),
+        "245c2f44b7d0e8bb11d3e79fd1312f1aaebe81c45702dcd0c71a07821cc105f8"),
     "twostage-seed4-stage-sse": (
         _two_stage, 5,
-        "1e5735e4bb06214d4a57363c454da6e53b7aad67115b845b309567cab5833122"),
+        "e5640519ae65fab73559ddd15aee61f6db82c1cb260f29dd87ee5547443c78f6"),
 }
 
 
