@@ -34,6 +34,7 @@ from stackelberg_search.efg import (
 from stackelberg_search.response import NEG_INF
 from stackelberg_search.search import (
     LOWER,
+    NO_BOUNDS,
     UPPER,
     BoundsMap,
     Subgame,
@@ -81,9 +82,11 @@ def transform_subgame(game: GameTree, sub: Subgame,
                       bounds: BoundsMap) -> GadgetGame:
     """Build the gadget for one subgame.
 
-    An empty bounds map yields the unbounded transform: the subgame under
-    its entry distribution with no termination structure, which is exactly
-    the greedy ("pretend the follower plays to reach") re-solving baseline.
+    NO_BOUNDS (what naive_search passes) yields the unbounded transform:
+    the subgame under its entry distribution with no termination structure,
+    which is exactly the greedy ("pretend the follower plays to reach")
+    re-solving baseline.  Any other bounds map, even an empty one (a
+    subgame without follower heads), is a bounded transform.
     """
     if quantities.eta is None:
         raise GameError(
@@ -189,7 +192,7 @@ def transform_subgame(game: GameTree, sub: Subgame,
             # follower choice inside could bring it back), its true weight
             # in the leader's objective is zero — neutralize the payoffs so
             # the gadget cannot invent value there.
-            neutral = bool(bounds.bounds) and entry is None \
+            neutral = bounds is not NO_BOUNDS and entry is None \
                 and follower_entry_factor(h) == 0.0
             copy(root, h, poison=False, neutral=neutral)
             continue

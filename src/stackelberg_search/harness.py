@@ -16,11 +16,10 @@ import csv
 import io
 import json
 import logging
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from stackelberg_search.blueprint import make_blueprint
 from stackelberg_search.efg import (
@@ -36,7 +35,6 @@ from stackelberg_search.response import best_response
 from stackelberg_search.search import (
     NO_BOUNDS,
     BoundsMap,
-    SubgameModel,
     SubgamePartition,
     SubgameQuantities,
     SubgameSolution,
@@ -145,64 +143,6 @@ def _skipped(game: GameTree, sub, blueprint: RealizationPlan,
         used_fallback=True, wall_time=0.0, bound_gap=0.0)
 
 
-class _TwinTable:
-    """The subgames of one search by model fingerprint, shared by the
-    worker threads.
-
-    A subgame's twin is the lowest index below its own whose fingerprint
-    matches.  Each subgame waits until every lower index has published, so
-    the answer does not depend on thread timing; only subgames without a
-    twin (the representatives) keep their fingerprint.  Waits only ever go
-    to lower indices, which a FIFO pool has already started, so none blocks
-    for good.  No subgame waits for a twin's solution: solution() answers
-    at once.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._published: set[int] = set()
-        self._representatives: dict[bytes, list[tuple[int, Fingerprint]]] = {}
-        self._solutions: dict[int, Optional[SubgameSolution]] = {}
-
-    def find(self, index: int,
-             print_: Fingerprint) -> Optional[tuple[int, float]]:
-        """Publish index's fingerprint; its twin and the largest difference
-        between their numbers, or None when index is a representative."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._published.issuperset(
-                range(index)))
-            self._published.add(index)
-            self._cond.notify_all()
-            group = self._representatives.setdefault(print_.structure, [])
-            for twin, other in group:
-                difference = other.difference(print_)
-                if difference is not None:
-                    return twin, difference
-            group.append((index, print_))
-            return None
-
-    def solution(self, index: int) -> Optional[SubgameSolution]:
-        """index's solution; None while it is unfinished (or if it raised)."""
-        with self._cond:
-            return self._solutions.get(index)
-
-    def finish(self, index: int, solution: Optional[SubgameSolution]) -> None:
-        """Record index's solution (None if it raised or was deferred);
-        publishes it too."""
-        with self._cond:
-            self._published.add(index)
-            self._solutions[index] = solution
-            self._cond.notify_all()
-
-
-class _Deferred(NamedTuple):
-    """A twin whose representative was still solving when it was found."""
-
-    model: SubgameModel
-    twin: int
-    difference: float
-
-
 def safe_search(game: GameTree, blueprint: RealizationPlan,
                 partition: SubgamePartition, *, alpha: float = 0.5,
                 beta: float = 1.0, time_limit: Optional[float] = None,
@@ -218,62 +158,74 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
     Subgames whose models match an earlier subgame's (solver.fingerprint,
     as suit-mirrored Leduc states do) take that twin's solution instead of
     a solve, once it passes their own model's checks (reuse_solution);
-    otherwise they are solved like any other.  With several workers, a
-    twin whose representative is still solving is set aside, not waited
-    for, and settled once the pool drains.
+    otherwise they are solved like any other.  Models are built and matched
+    in index order in the calling thread, so each group's representative
+    is its lowest index whatever `workers` is; with one worker one model is
+    alive at a time.  A twin whose representative is still solving does
+    not hold a worker: it is settled once the pool drains.
     """
     context = prepare_search(game, blueprint, partition, alpha, beta)
     quantities, bounds = context.quantities, context.bounds
-    twins = _TwinTable()
+    representatives: dict[bytes, list[tuple[int, Fingerprint]]] = {}
+    # Only the calling thread reads or writes representatives.  Workers
+    # share finished without a lock: each key is set once, after its solve
+    # returns, and a dict store or lookup is atomic.
+    finished: dict[int, SubgameSolution] = {}
 
-    def solve_one(sub) -> Union[SubgameSolution, _Deferred]:
-        solution = None
-        try:
-            q = quantities[sub.index]
-            if q.eta is None:
-                solution = _skipped(game, sub, blueprint, "SkippedUnreachable")
-                return solution
-            model = build_constrained_milp(game, sub, q, bounds[sub.index],
-                                           blueprint, context.brvs)
-            found = twins.find(sub.index,
-                               fingerprint(model.problem, model.warm))
-            if found is not None:
-                job = _Deferred(model, *found)
-                if twins.solution(job.twin) is None:
-                    return job
-                solution = settle(job)
-            else:
-                solution = solve_subgame(game, model, blueprint,
-                                         time_limit=time_limit)
+    def classify(sub):
+        """A skipped subgame's solution, or (model, twin, difference): the
+        lowest-index subgame whose model matches and the largest difference
+        between their numbers, twin None for a representative."""
+        q = quantities[sub.index]
+        if q.eta is None:
+            return _skipped(game, sub, blueprint, "SkippedUnreachable")
+        model = build_constrained_milp(game, sub, q, bounds[sub.index],
+                                       blueprint, context.brvs)
+        print_ = fingerprint(model.problem, model.warm)
+        group = representatives.setdefault(print_.structure, [])
+        for twin, other in group:
+            difference = other.difference(print_)
+            if difference is not None:
+                return model, twin, difference
+        group.append((sub.index, print_))
+        return model, None, 0.0
+
+    def solve(job):
+        """Solve a representative, settle a twin whose representative has
+        finished, and pass any other twin on unchanged."""
+        if isinstance(job, SubgameSolution):
+            return job
+        model, twin, _ = job
+        if twin is None:
+            solution = solve_subgame(game, model, blueprint,
+                                     time_limit=time_limit)
+            finished[model.subgame.index] = solution
             return solution
-        finally:
-            twins.finish(sub.index, solution)
+        return settle(job) if twin in finished else job
 
-    def settle(job: Union[SubgameSolution, _Deferred]) -> SubgameSolution:
+    def settle(job) -> SubgameSolution:
         """A twin's solution: its representative's, once that passes the
         twin's checks, else its own solve."""
         if isinstance(job, SubgameSolution):
             return job
-        index = job.model.subgame.index
-        solution = reuse_solution(game, job.model, twins.solution(job.twin))
+        model, twin, difference = job
+        index = model.subgame.index
+        solution = reuse_solution(game, model, finished[twin])
         if solution is None:
             logger.debug("subgame %d: the solution of its twin %d fails its "
-                         "checks", index, job.twin)
-            return solve_subgame(game, job.model, blueprint,
+                         "checks", index, twin)
+            return solve_subgame(game, model, blueprint,
                                  time_limit=time_limit)
         logger.debug("subgame %d reuses the solution of its twin %d "
-                     "(largest difference %.3g)", index, job.twin,
-                     job.difference)
+                     "(largest difference %.3g)", index, twin, difference)
         return solution
 
-    # With one worker every representative has finished before its twins
-    # are found, so no twin is deferred.
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(solve_one, partition.subgames))
-            solutions = list(pool.map(settle, found))
-    else:
-        solutions = [solve_one(sub) for sub in partition]
+    # Executor.map and the builtin map both pull their input in the calling
+    # thread, and the builtin map is lazy.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        each = pool.map if workers > 1 else map
+        solutions = list(each(settle, list(each(solve, map(classify,
+                                                           partition)))))
     local_plans = {s.index: s.local_plan for s in solutions}
     plan = compose_strategy(game, blueprint, partition, local_plans)
     return SearchReport(plan=plan, solutions=tuple(solutions), bounds=bounds,
