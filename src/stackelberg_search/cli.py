@@ -155,6 +155,9 @@ def cmd_search(args) -> int:
                 "bound_gap": _finite_or_none(solution.bound_gap),
                 "root_bound": _finite_or_none(solution.root_bound),
                 "mip_nodes": solution.mip_nodes,
+                "n_vars": solution.n_vars,
+                "n_rows": solution.n_rows,
+                "n_binaries": solution.n_binaries,
                 "local_plan": {str(k): v
                                for k, v in sorted(solution.local_plan.items())},
             }, handle, indent=1)

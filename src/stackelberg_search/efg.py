@@ -13,9 +13,10 @@ sequence ``sigma``, ``r(sigma) = sum_a r(sigma a)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,15 +36,14 @@ class GameError(ValueError):
     """Raised for structurally invalid games or mismatched plans."""
 
 
-@dataclass(frozen=True)
-class GameNode:
+class GameNode(NamedTuple):
     """One node of the game tree.
 
     kind: "chance", "player" or "terminal".
     player: LEADER or FOLLOWER for player nodes (CHANCE for chance nodes).
     infoset: game-level infoset id for player nodes, else None.
-    chance_probs: outcome probabilities for chance nodes, else None.
-    payoffs: (leader utility, follower utility) for terminals, else None.
+    chance_probs: outcome probabilities for chance nodes, else ().
+    payoffs: (leader utility, follower utility) for terminals, else (0, 0).
     """
 
     id: int
@@ -61,8 +61,7 @@ class GameNode:
         return self.kind == "terminal"
 
 
-@dataclass(frozen=True)
-class InfoSet:
+class InfoSet(NamedTuple):
     """An information set: the acting player cannot tell its members apart."""
 
     id: int
@@ -84,6 +83,9 @@ class GameTree:
         self._treeplexes: dict[int, "Treeplex"] = {}
         self._leaf_arrays = None
         self._valid = False  # set by require_valid once validation passes
+        # Sequence numbering per player, left by validate_game for
+        # build_treeplex.
+        self._numbering: dict[int, tuple] = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -151,102 +153,161 @@ class ValidationReport:
 
 
 def validate_game(game: GameTree) -> ValidationReport:
-    """Structural checks: links, chance normalization, infosets, perfect recall.
+    """Structural checks: links, chance normalization, finite numbers,
+    infosets, perfect recall.
 
     Returns a report listing every violation (with node ids) rather than
     raising; downstream operations refuse games whose report is not ok.
+    Perfect recall is read off the walk that numbers both players'
+    sequences (_number_sequences); a game that passes keeps that numbering
+    for build_treeplex.
     """
     report = ValidationReport()
-    n = len(game.nodes)
-    for node in game.nodes:
-        if node.id < 0 or node.id >= n or game.nodes[node.id] is not node:
-            report.add(f"node {node.id}: id does not match position")
+    nodes = game.nodes
+    n = len(nodes)
+    n_infosets = len(game.infosets)
+    isfinite = math.isfinite
+    for position, node in enumerate(nodes):
+        nid, kind, _, player, infoset, actions, children, probs, payoffs = node
+        if nid != position and (nid < 0 or nid >= n or nodes[nid] is not node):
+            report.add(f"node {nid}: id does not match position")
             continue
-        if node.kind == "terminal":
-            if node.actions or node.children:
-                report.add(f"node {node.id}: terminal with actions/children")
+        if kind == "terminal":
+            if actions or children:
+                report.add(f"node {nid}: terminal with actions/children")
+            if not all(map(isfinite, payoffs)):
+                report.add(f"node {nid}: non-finite payoff")
             continue
-        if len(node.actions) != len(node.children) or not node.actions:
-            report.add(f"node {node.id}: actions/children mismatch")
-        for child in node.children:
+        if len(actions) != len(children) or not actions:
+            report.add(f"node {nid}: actions/children mismatch")
+        for child in children:
             if child < 0 or child >= n:
-                report.add(f"node {node.id}: child {child} out of range")
-            elif game.nodes[child].parent != node.id:
-                report.add(f"node {node.id}: child {child} parent link broken")
-        if node.kind == "chance":
-            if len(node.chance_probs) != len(node.actions):
-                report.add(f"node {node.id}: chance probs/actions mismatch")
-            elif abs(sum(node.chance_probs) - 1.0) > CHANCE_TOL:
-                report.add(f"node {node.id}: chance normalization "
-                           f"(sum = {sum(node.chance_probs)!r})")
-            if any(p < 0 for p in node.chance_probs):
-                report.add(f"node {node.id}: negative chance probability")
-        elif node.kind == "player":
-            if node.player not in (LEADER, FOLLOWER):
-                report.add(f"node {node.id}: bad player {node.player}")
-            if node.infoset is None or not (0 <= node.infoset < len(game.infosets)):
-                report.add(f"node {node.id}: missing/bad infoset id")
+                report.add(f"node {nid}: child {child} out of range")
+            elif nodes[child].parent != nid:
+                report.add(f"node {nid}: child {child} parent link broken")
+        if kind == "chance":
+            if len(probs) != len(actions):
+                report.add(f"node {nid}: chance probs/actions mismatch")
+            elif abs(sum(probs) - 1.0) > CHANCE_TOL:
+                report.add(f"node {nid}: chance normalization "
+                           f"(sum = {sum(probs)!r})")
+            if any(p < 0 for p in probs):
+                report.add(f"node {nid}: negative chance probability")
+            if not all(map(isfinite, probs)):
+                report.add(f"node {nid}: non-finite chance probability")
+        elif kind == "player":
+            if player not in (LEADER, FOLLOWER):
+                report.add(f"node {nid}: bad player {player}")
+            if infoset is None or not (0 <= infoset < n_infosets):
+                report.add(f"node {nid}: missing/bad infoset id")
         else:
-            report.add(f"node {node.id}: unknown kind {node.kind!r}")
+            report.add(f"node {nid}: unknown kind {kind!r}")
 
     # Tree-ness: every non-root node reachable exactly once from its parent.
-    seen = [False] * n
+    order, twice = _dfs(game, in_order=True)
+    if twice is not None:
+        # Name the node a walk that pushes children as listed meets twice
+        # first, and the nodes it leaves unseen.
+        order, twice = _dfs(game, in_order=False)
+        report.add(f"node {twice}: reached twice (not a tree)")
+    if len(order) < n:
+        seen = bytearray(n)
+        for nid in order:
+            seen[nid] = 1
+        for node in nodes:
+            if not seen[node.id]:
+                report.add(f"node {node.id}: unreachable from root")
+
+    # Infoset consistency.
+    for iid, owner, actions, members in game.infosets:
+        for member in members:
+            if member >= n:
+                report.add(f"infoset {iid}: member {member} out of range")
+                continue
+            node = nodes[member]
+            if node.kind != "player" or node.infoset != iid:
+                report.add(f"infoset {iid}: node {member} not a member back-ref")
+            elif node.player != owner:
+                report.add(f"infoset {iid}: node {member} owned by other player")
+            elif node.actions != actions:
+                report.add(f"infoset {iid}: node {member} action list differs")
+
+    if report.ok:
+        hist, blocks = _number_sequences(game, order)
+        # Perfect recall: an infoset's members share the owner's own history.
+        for iid, owner, _, members in game.infosets:
+            if len(members) > 1:
+                own = hist[owner]
+                first = own[members[0]]
+                for member in members:
+                    if own[member] != first:
+                        report.add(
+                            f"infoset {iid}: perfect recall violated, members "
+                            f"{sorted(members)} reached by different "
+                            f"own-histories")
+                        break
+        if report.ok:
+            game._numbering = {LEADER: (hist[LEADER], blocks[LEADER]),
+                               FOLLOWER: (hist[FOLLOWER], blocks[FOLLOWER])}
+    return report
+
+
+def _dfs(game: GameTree, in_order: bool) -> tuple[list[int], Optional[int]]:
+    """Node ids in depth-first visit order from the root, up to the first
+    node reached twice (returned second; None in a tree).  With in_order
+    the walk visits children in their listed order: a preorder."""
+    nodes = game.nodes
+    seen = bytearray(len(nodes))
+    order: list[int] = []
     stack = [game.root]
     while stack:
         nid = stack.pop()
         if seen[nid]:
-            report.add(f"node {nid}: reached twice (not a tree)")
-            break
-        seen[nid] = True
-        stack.extend(game.nodes[nid].children)
-    for node in game.nodes:
-        if not seen[node.id]:
-            report.add(f"node {node.id}: unreachable from root")
-
-    # Infoset consistency.
-    for infoset in game.infosets:
-        for member in infoset.members:
-            if member >= n:
-                report.add(f"infoset {infoset.id}: member {member} out of range")
-                continue
-            node = game.nodes[member]
-            if node.kind != "player" or node.infoset != infoset.id:
-                report.add(f"infoset {infoset.id}: node {member} not a member back-ref")
-            elif node.player != infoset.player:
-                report.add(f"infoset {infoset.id}: node {member} owned by other player")
-            elif node.actions != infoset.actions:
-                report.add(f"infoset {infoset.id}: node {member} action list differs")
-
-    if report.ok:
-        _check_perfect_recall(game, report)
-    return report
+            return order, nid
+        seen[nid] = 1
+        order.append(nid)
+        children = nodes[nid].children
+        stack.extend(reversed(children) if in_order else children)
+    return order, None
 
 
-def _own_history(game: GameTree, node_id: int, player: int) -> tuple:
-    """The player's (infoset id, action index) pairs on the path to node_id."""
-    history = []
-    node = game.nodes[node_id]
-    while node.parent is not None:
-        parent = game.nodes[node.parent]
-        if parent.kind == "player" and parent.player == player:
-            history.append((parent.infoset, parent.children.index(node.id)))
-        node = parent
-    history.reverse()
-    return tuple(history)
+def _number_sequences(game: GameTree, order: list[int]):
+    """Both players' own-history ids per node, and their sequence blocks.
 
-
-def _check_perfect_recall(game: GameTree, report: ValidationReport) -> None:
-    for infoset in game.infosets:
-        histories = {
-            member: _own_history(game, member, infoset.player)
-            for member in infoset.members
-        }
-        distinct = set(histories.values())
-        if len(distinct) > 1:
-            report.add(
-                f"infoset {infoset.id}: perfect recall violated, members "
-                f"{sorted(infoset.members)} reached by different own-histories"
-            )
+    hist[p][h] stands for player p's own history on entering node h: the
+    (infoset, action index) pairs of p's nodes above h.  Walking the nodes
+    in preorder, the first visit of a (history, infoset) pair opens a block
+    of consecutive ids, one per action, and the children of p's node get the
+    ids of their actions.  So two nodes share an id exactly when their own
+    histories are equal.  Under perfect recall each infoset opens one block,
+    the blocks open in DFS order and the ids are the sequence ids; blocks[p]
+    maps (entry id, infoset) to the block's first id, in opening order.
+    """
+    nodes = game.nodes
+    hist = ([0] * len(nodes), [0] * len(nodes))
+    blocks: tuple[dict, dict] = ({}, {})
+    size = [1, 1]
+    for h in order:
+        node = nodes[h]
+        if node.kind == "player":
+            player = node.player
+            own, other = hist[player], hist[1 - player]
+            key = (own[h], node.infoset)
+            first = blocks[player].get(key)
+            if first is None:
+                first = blocks[player][key] = size[player]
+                size[player] += len(node.children)
+            theirs = other[h]
+            for child in node.children:
+                own[child] = first
+                other[child] = theirs
+                first += 1
+        else:
+            h0, h1 = hist[0][h], hist[1][h]
+            for child in node.children:
+                hist[0][child] = h0
+                hist[1][child] = h1
+    return hist, blocks
 
 
 def require_valid(game: GameTree) -> None:
@@ -263,8 +324,7 @@ def require_valid(game: GameTree) -> None:
 # Treeplex / sequence form
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(NamedTuple):
     """One sequence of a player: parent sequence extended by one action.
 
     id 0 is always the empty sequence (parent_infoset None, action None).
@@ -320,59 +380,45 @@ class Treeplex:
 
 
 def build_treeplex(game: GameTree, player: int) -> Treeplex:
-    """Enumerate the player's sequences/infoset structure in DFS order."""
+    """The player's sequences and infoset structure, numbered in DFS order.
+
+    The numbering is validate_game's (_number_sequences); this turns it into
+    sequence records with labels and the per-infoset and per-sequence maps.
+    """
     if player not in (LEADER, FOLLOWER):
         raise GameError(f"treeplex is only defined for players, got {player}")
     require_valid(game)
+    numbering = game._numbering.pop(player, None)
+    if numbering is None:  # this player's treeplex was built before
+        hist, blocks = _number_sequences(game, _dfs(game, in_order=True)[0])
+        numbering = hist[player], blocks[player]
+    hist, blocks = numbering
 
     sequences = [Sequence(0, player, None, None, None, "")]
     entry_seq: dict[int, int] = {}
     infoset_actions: dict[int, tuple[int, ...]] = {}
-    children_infosets: dict[int, list[int]] = {0: []}
-    infoset_ids: list[int] = []
-    node_seq = np.zeros(len(game.nodes), dtype=np.int64)
-
-    # DFS in child order from the root; assign ids on first encounter of each
-    # (infoset, action).
-    stack: list[tuple[int, int]] = [(game.root, 0)]  # node, current seq
-    while stack:
-        node_id, seq_id = stack.pop()
-        node_seq[node_id] = seq_id
-        node = game.nodes[node_id]
-        if node.is_terminal:
-            continue
-        if node.kind == "player" and node.player == player:
-            infoset = node.infoset
-            if infoset not in entry_seq:
-                entry_seq[infoset] = seq_id
-                infoset_ids.append(infoset)
-                children_infosets[seq_id].append(infoset)
-                first = len(sequences)
-                parent_label = sequences[seq_id].label
-                for idx, action in enumerate(game.infosets[infoset].actions):
-                    label = (parent_label + "/" if parent_label else "") + action
-                    sequences.append(Sequence(first + idx, player, infoset,
-                                              idx, seq_id, label))
-                    children_infosets[first + idx] = []
-                infoset_actions[infoset] = tuple(range(first, len(sequences)))
-            elif entry_seq[infoset] != seq_id:
-                # Perfect recall already validated; this is a belt-and-braces check.
-                raise GameError(f"infoset {infoset} entered with differing sequences")
-            seqs = infoset_actions[infoset]
-            for idx in range(len(node.children) - 1, -1, -1):
-                stack.append((node.children[idx], seqs[idx]))
-        else:
-            for child in reversed(node.children):
-                stack.append((child, seq_id))
+    for (entry, infoset), first in blocks.items():
+        parent_label = sequences[entry].label
+        prefix = parent_label + "/" if parent_label else ""
+        actions = game.infosets[infoset].actions
+        for idx, action in enumerate(actions):
+            sequences.append(Sequence(first + idx, player, infoset, idx,
+                                      entry, prefix + action))
+        entry_seq[infoset] = entry
+        infoset_actions[infoset] = tuple(range(first, first + len(actions)))
+    children_infosets: dict[int, list[int]] = {
+        seq: [] for seq in range(len(sequences))}
+    for entry, infoset in blocks:
+        children_infosets[entry].append(infoset)
 
     return Treeplex(
         owner=player,
         sequences=sequences,
-        infoset_ids=infoset_ids,
+        infoset_ids=list(entry_seq),
         entry_seq=entry_seq,
         infoset_actions=infoset_actions,
         children_infosets=children_infosets,
-        node_seq=node_seq,
+        node_seq=np.array(hist, dtype=np.int64),
     )
 
 
@@ -537,21 +583,38 @@ class TreeBuilder:
 
     Children must be added after their parent; node ids are assigned in call
     order, so building in DFS order gives DFS ids.  Infosets are keyed by
-    arbitrary hashable labels and numbered in first-use order.
+    arbitrary hashable labels and numbered in first-use order.  Nodes are
+    kept as columns indexed by node id; build() makes each GameNode once.
+    Members of one infoset share one action tuple.
     """
 
     def __init__(self) -> None:
-        self._nodes: list[dict] = []
+        self._nodes: list[str] = []             # kind, per node id
+        self._parents: list[Optional[int]] = []
+        self._players: list[int] = []
+        self._infosets: list[Optional[int]] = []
+        self._actions: list[tuple[str, ...]] = []
+        self._probs: list[tuple[float, ...]] = []
+        self._payoffs: list[tuple[float, float]] = []
         self._infoset_ids: dict = {}
-        self._infoset_actions: dict[int, tuple[str, ...]] = {}
-        self._infoset_players: dict[int, int] = {}
-        self._members: dict[int, list[int]] = {}
+        # Per infoset id: actions and owner.
+        self._infoset_actions: list[tuple[str, ...]] = []
+        self._infoset_players: list[int] = []
 
-    def _new_node(self, parent: Optional[int], **kw) -> int:
+    def _new_node(self, parent: Optional[int], kind: str, player: int,
+                  infoset: Optional[int], actions: tuple[str, ...],
+                  probs: tuple[float, ...],
+                  payoffs: tuple[float, float]) -> int:
         node_id = len(self._nodes)
-        if parent is not None:
-            self._nodes[parent]["children"].append(node_id)
-        self._nodes.append({"id": node_id, "parent": parent, "children": [], **kw})
+        if parent is not None and not 0 <= parent < node_id:
+            raise GameError(f"parent {parent} of node {node_id} does not exist")
+        self._nodes.append(kind)
+        self._parents.append(parent)
+        self._players.append(player)
+        self._infosets.append(infoset)
+        self._actions.append(actions)
+        self._probs.append(probs)
+        self._payoffs.append(payoffs)
         return node_id
 
     def chance(self, parent: Optional[int], probs: Iterable[float],
@@ -559,54 +622,61 @@ class TreeBuilder:
         probs = tuple(float(p) for p in probs)
         labels = tuple(labels) if labels is not None else tuple(
             f"o{k}" for k in range(len(probs)))
-        return self._new_node(parent, kind="chance", player=CHANCE,
-                              actions=labels, chance_probs=probs)
+        return self._new_node(parent, "chance", CHANCE, None, labels, probs,
+                              (0.0, 0.0))
 
     def player(self, parent: Optional[int], player: int, infoset_key,
                actions: Iterable[str]) -> int:
         actions = tuple(actions)
-        if infoset_key not in self._infoset_ids:
-            iid = len(self._infoset_ids)
-            self._infoset_ids[infoset_key] = iid
-            self._infoset_actions[iid] = actions
-            self._infoset_players[iid] = player
-            self._members[iid] = []
-        iid = self._infoset_ids[infoset_key]
-        if self._infoset_actions[iid] != actions:
+        iid = self._infoset_ids.get(infoset_key)
+        if iid is None:
+            iid = self._infoset_ids[infoset_key] = len(self._infoset_players)
+            self._infoset_actions.append(actions)
+            self._infoset_players.append(player)
+        elif self._infoset_actions[iid] != actions:
             raise GameError(f"infoset {infoset_key!r}: inconsistent action lists")
-        if self._infoset_players[iid] != player:
+        elif self._infoset_players[iid] != player:
             raise GameError(f"infoset {infoset_key!r}: inconsistent owner")
-        node_id = self._new_node(parent, kind="player", player=player,
-                                 infoset=iid, actions=actions)
-        self._members[iid].append(node_id)
-        return node_id
+        return self._new_node(parent, "player", player, iid,
+                              self._infoset_actions[iid], (), (0.0, 0.0))
 
     def terminal(self, parent: Optional[int], u1: float, u2: float) -> int:
-        return self._new_node(parent, kind="terminal",
-                              payoffs=(float(u1), float(u2)))
+        return self._new_node(parent, "terminal", CHANCE, None, (), (),
+                              (float(u1), float(u2)))
 
     def infoset_id(self, infoset_key) -> Optional[int]:
         """The id assigned to a key, or None if no node ever used it."""
         return self._infoset_ids.get(infoset_key)
 
     def build(self, metadata: Optional[dict] = None) -> GameTree:
-        nodes = [
-            GameNode(
-                id=d["id"], kind=d["kind"], parent=d["parent"],
-                player=d.get("player", CHANCE), infoset=d.get("infoset"),
-                actions=d.get("actions", ()), children=tuple(d["children"]),
-                chance_probs=d.get("chance_probs", ()),
-                payoffs=d.get("payoffs", (0.0, 0.0)),
-            )
-            for d in self._nodes
-        ]
-        infosets = [
-            InfoSet(id=iid, player=self._infoset_players[iid],
-                    actions=self._infoset_actions[iid],
-                    members=tuple(self._members[iid]))
-            for iid in sorted(self._infoset_actions)
-        ]
+        n, n_infosets = len(self._nodes), len(self._infoset_players)
+        nodes = list(map(GameNode._make, zip(
+            range(n), self._nodes, self._parents, self._players,
+            self._infosets, self._actions, _group_ids(self._parents, n),
+            self._probs, self._payoffs)))
+        infosets = list(map(InfoSet._make, zip(
+            range(n_infosets), self._infoset_players, self._infoset_actions,
+            _group_ids(self._infosets, n_infosets))))
         game = GameTree(nodes=nodes, infosets=infosets,
                         metadata=dict(metadata or {}))
         require_valid(game)
         return game
+
+
+def _group_ids(keys: list[Optional[int]], n_groups: int) -> list[tuple[int, ...]]:
+    """For each group g < n_groups, the ids i with keys[i] == g, ascending.
+
+    A None key is in no group.  Grouping once at the end keeps no list per
+    node alive while a tree is built.
+    """
+    key = np.array(keys, dtype=float)  # None becomes nan
+    ids = np.flatnonzero(~np.isnan(key))
+    key = key[ids].astype(np.int64)
+    grouped = ids[np.argsort(key, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(key, minlength=n_groups)).tolist()
+    groups = []
+    start = 0
+    for end in ends:
+        groups.append(tuple(grouped[start:end]))
+        start = end
+    return groups

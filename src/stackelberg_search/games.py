@@ -25,6 +25,7 @@ same seed always yields a bit-identical game file.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -113,8 +114,6 @@ def parse_game(text: str) -> GameTree:
     metadata = doc.get("metadata", {})
     _require(isinstance(metadata, dict), "$.metadata", "must be an object")
 
-    nodes: list[GameNode] = [None] * len(raw_nodes)  # type: ignore[list-item]
-    parents: dict[int, int] = {}
     for i, rec in enumerate(raw_nodes):
         path = f"$.nodes[{i}]"
         _require(isinstance(rec, dict), path, "must be an object")
@@ -129,6 +128,10 @@ def parse_game(text: str) -> GameTree:
         _require(not missing, f"{path}.{sorted(missing)[0]}" if missing else path,
                  "missing field")
         _require(rec["id"] == i, f"{path}.id", f"expected {i} (dense id order)")
+    # Each node's fields after id and parent; the parents come from the
+    # children lists, so GameNode records are made once all are read.
+    fields: list[tuple] = [None] * len(raw_nodes)  # type: ignore[list-item]
+    parents: dict[int, int] = {}
     for i, rec in enumerate(raw_nodes):
         path = f"$.nodes[{i}]"
         kind = rec["kind"]
@@ -136,8 +139,8 @@ def parse_game(text: str) -> GameTree:
             pay = rec["payoffs"]
             _require(isinstance(pay, list) and len(pay) == 2, f"{path}.payoffs",
                      "expected [leader, follower]")
-            nodes[i] = GameNode(id=i, kind="terminal",
-                                payoffs=(float(pay[0]), float(pay[1])))
+            fields[i] = ("terminal", CHANCE, None, (), (), (),
+                         (float(pay[0]), float(pay[1])))
             continue
         children = rec["children"]
         _require(isinstance(children, list) and children, f"{path}.children",
@@ -150,27 +153,19 @@ def parse_game(text: str) -> GameTree:
             parents[child] = i
         actions = tuple(str(a) for a in rec["actions"])
         if kind == "chance":
-            nodes[i] = GameNode(id=i, kind="chance", actions=actions,
-                                children=tuple(children),
-                                chance_probs=tuple(float(p) for p
-                                                   in rec["chance_probs"]))
+            fields[i] = ("chance", CHANCE, None, actions, tuple(children),
+                         tuple(float(p) for p in rec["chance_probs"]),
+                         (0.0, 0.0))
         else:
             _require(rec["player"] in ("leader", "follower"), f"{path}.player",
                      "expected leader|follower")
             _require(isinstance(rec["infoset"], int) and rec["infoset"] >= 0,
                      f"{path}.infoset", "expected a non-negative integer")
             player = LEADER if rec["player"] == "leader" else FOLLOWER
-            nodes[i] = GameNode(id=i, kind="player", player=player,
-                                infoset=rec["infoset"], actions=actions,
-                                children=tuple(children))
-    nodes = [
-        n if n.parent == parents.get(n.id) else
-        GameNode(id=n.id, kind=n.kind, parent=parents.get(n.id),
-                 player=n.player, infoset=n.infoset, actions=n.actions,
-                 children=n.children, chance_probs=n.chance_probs,
-                 payoffs=n.payoffs)
-        for n in nodes
-    ]
+            fields[i] = ("player", player, rec["infoset"], actions,
+                         tuple(children), (), (0.0, 0.0))
+    nodes = [GameNode(i, kind, parents.get(i), *rest)
+             for i, (kind, *rest) in enumerate(fields)]
 
     # Rebuild infosets by grouping player nodes.
     members: dict[int, list[int]] = {}
@@ -432,25 +427,34 @@ def goofspiel_game(spec: GoofspielSpec) -> GameTree:
     root = b.chance(None, [1.0 / len(perms)] * len(perms),
                     ["".join(str(p) for p in perm) for perm in perms])
 
+    moves: dict[tuple, tuple] = {}  # hand -> (bid labels, (card, rest)...)
+
+    def moves_of(hand: tuple) -> tuple:
+        entry = moves.get(hand)
+        if entry is None:
+            entry = moves[hand] = (
+                tuple(f"bid{c}" for c in hand),
+                tuple((c, hand[:i] + hand[i + 1:]) for i, c in enumerate(hand)))
+        return entry
+
     def play(parent: int, perm, round_idx: int, hand1, hand2,
              won1: float, won2: float, bids: tuple) -> None:
-        if round_idx == n:
-            b.terminal(parent, won1, won2)
-            return
         prize = perm[round_idx]
         seen = perm[: round_idx + 1]
-        lead = b.player(parent, LEADER, ("L", seen, bids),
-                        [f"bid{c}" for c in hand1])
-        for c1 in hand1:
-            foll = b.player(lead, FOLLOWER, ("F", seen, bids),
-                            [f"bid{c}" for c in hand2])
-            for c2 in hand2:
+        last = round_idx + 1 == n
+        labels1, moves1 = moves_of(hand1)
+        labels2, moves2 = moves_of(hand2)
+        lead = b.player(parent, LEADER, ("L", seen, bids), labels1)
+        for c1, rest1 in moves1:
+            foll = b.player(lead, FOLLOWER, ("F", seen, bids), labels2)
+            for c2, rest2 in moves2:
                 w1 = won1 + (prize if c1 > c2 else 0.0)
                 w2 = won2 + (prize if c2 > c1 else 0.0)
-                play(foll, perm, round_idx + 1,
-                     tuple(c for c in hand1 if c != c1),
-                     tuple(c for c in hand2 if c != c2),
-                     w1, w2, bids + ((c1, c2),))
+                if last:
+                    b.terminal(foll, w1, w2)
+                else:
+                    play(foll, perm, round_idx + 1, rest1, rest2, w1, w2,
+                         bids + ((c1, c2),))
 
     hand = tuple(range(1, n + 1))
     for perm in perms:
@@ -486,15 +490,17 @@ def goofspiel_surrogate_payoffs(game: GameTree) -> np.ndarray:
 _MAX_BETS = 5
 
 
-def _betting_actions(state: str) -> list[str]:
+@functools.cache
+def _betting_actions(state: str) -> tuple[str, ...]:
     if state in ("", "k"):
-        return ["k", "b"]
+        return ("k", "b")
     bets = state.count("b") + state.count("r")
     if bets >= _MAX_BETS:
-        return ["f", "c"]
-    return ["f", "c", "r"]
+        return ("f", "c")
+    return ("f", "c", "r")
 
 
+@functools.cache
 def _betting_units(state: str) -> tuple[int, int]:
     """Bet units put in by (first mover, second mover) along the state."""
     units = [0, 0]
@@ -572,10 +578,10 @@ def leduc_game(spec: LeducSpec) -> GameTree:
             return
         actor = len(state) % 2
         card = c1 if actor == 0 else c2
+        actions = _betting_actions(state)
         node = b.player(parent, LEADER if actor == 0 else FOLLOWER,
-                        ("r2", actor, card, board, line1, state),
-                        _betting_actions(state))
-        for move in _betting_actions(state):
+                        ("r2", actor, card, board, line1, state), actions)
+        for move in actions:
             bet_round2(node, c1, c2, board, line1, state + move)
 
     def bet_round1(parent: int, c1: int, c2: int, state: str) -> None:
@@ -593,9 +599,10 @@ def leduc_game(spec: LeducSpec) -> GameTree:
             return
         actor = len(state) % 2
         card = c1 if actor == 0 else c2
+        actions = _betting_actions(state)
         node = b.player(parent, LEADER if actor == 0 else FOLLOWER,
-                        ("r1", actor, card, state), _betting_actions(state))
-        for move in _betting_actions(state):
+                        ("r1", actor, card, state), actions)
+        for move in actions:
             bet_round1(node, c1, c2, state + move)
 
     for c1 in cards:

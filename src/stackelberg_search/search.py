@@ -800,9 +800,21 @@ class SubgameSolution:
     bound_gap: float
     root_bound: float = float("nan")  # MilpSolution.root_bound of the solve
     mip_nodes: int = 0                # MilpSolution.mip_nodes of the solve
+    # Size of this subgame's own model; 0 when no model was built.
+    n_vars: int = 0
+    n_rows: int = 0
+    n_binaries: int = 0
     twin_of: Optional[int] = None     # subgame whose solution was reused
     # The incumbent's MILP variables; None when the subgame fell back.
     assignment: Optional[np.ndarray] = field(default=None, repr=False)
+
+
+def _model_sizes(model: SubgameModel) -> dict[str, int]:
+    """The model's variable, row and binary counts, as SubgameSolution
+    fields."""
+    lp = model.problem.lp
+    return {"n_vars": lp.n_vars, "n_rows": len(lp.rhs),
+            "n_binaries": len(model.problem.binaries)}
 
 
 def blueprint_local_plan(game: GameTree, sub: Subgame,
@@ -838,12 +850,14 @@ def solve_subgame(game: GameTree, model: SubgameModel,
     defect and raises.
     """
     sub = model.subgame
+    sizes = _model_sizes(model)
 
     def fallback(status: str, wall: float) -> SubgameSolution:
         return SubgameSolution(
             index=sub.index, status=status, objective=float("nan"),
             local_plan=blueprint_local_plan(game, sub, r1_bp),
-            used_fallback=True, wall_time=wall, bound_gap=float("inf"))
+            used_fallback=True, wall_time=wall, bound_gap=float("inf"),
+            **sizes)
 
     started = time.perf_counter()
     try:
@@ -868,7 +882,7 @@ def solve_subgame(game: GameTree, model: SubgameModel,
                            bound_gap=solution.bound_gap,
                            root_bound=solution.root_bound,
                            mip_nodes=solution.mip_nodes,
-                           assignment=solution.assignment)
+                           assignment=solution.assignment, **sizes)
 
 
 def reuse_solution(game: GameTree, model: SubgameModel,
@@ -899,7 +913,7 @@ def reuse_solution(game: GameTree, model: SubgameModel,
                            wall_time=time.perf_counter() - started,
                            bound_gap=gap, root_bound=twin.root_bound,
                            mip_nodes=twin.mip_nodes, twin_of=twin.index,
-                           assignment=x)
+                           assignment=x, **_model_sizes(model))
 
 
 def _read_incumbent(game: GameTree, model: SubgameModel,
