@@ -204,18 +204,13 @@ def validate_game(game: GameTree) -> ValidationReport:
             report.add(f"node {nid}: unknown kind {kind!r}")
 
     # Tree-ness: every non-root node reachable exactly once from its parent.
-    order, twice = _dfs(game, in_order=True)
+    order, twice = _preorder(game)
     if twice is not None:
-        # Name the node a walk that pushes children as listed meets twice
-        # first, and the nodes it leaves unseen.
-        order, twice = _dfs(game, in_order=False)
         report.add(f"node {twice}: reached twice (not a tree)")
     if len(order) < n:
-        seen = bytearray(n)
-        for nid in order:
-            seen[nid] = 1
+        seen = set(order)
         for node in nodes:
-            if not seen[node.id]:
+            if node.id not in seen:
                 report.add(f"node {node.id}: unreachable from root")
 
     # Infoset consistency.
@@ -252,10 +247,10 @@ def validate_game(game: GameTree) -> ValidationReport:
     return report
 
 
-def _dfs(game: GameTree, in_order: bool) -> tuple[list[int], Optional[int]]:
-    """Node ids in depth-first visit order from the root, up to the first
-    node reached twice (returned second; None in a tree).  With in_order
-    the walk visits children in their listed order: a preorder."""
+def _preorder(game: GameTree) -> tuple[list[int], Optional[int]]:
+    """Node ids in depth-first preorder from the root, children in their
+    listed order, up to the first node reached twice (returned second; None
+    in a tree)."""
     nodes = game.nodes
     seen = bytearray(len(nodes))
     order: list[int] = []
@@ -266,8 +261,7 @@ def _dfs(game: GameTree, in_order: bool) -> tuple[list[int], Optional[int]]:
             return order, nid
         seen[nid] = 1
         order.append(nid)
-        children = nodes[nid].children
-        stack.extend(reversed(children) if in_order else children)
+        stack.extend(reversed(nodes[nid].children))
     return order, None
 
 
@@ -390,7 +384,7 @@ def build_treeplex(game: GameTree, player: int) -> Treeplex:
     require_valid(game)
     numbering = game._numbering.pop(player, None)
     if numbering is None:  # this player's treeplex was built before
-        hist, blocks = _number_sequences(game, _dfs(game, in_order=True)[0])
+        hist, blocks = _number_sequences(game, _preorder(game)[0])
         numbering = hist[player], blocks[player]
     hist, blocks = numbering
 
@@ -666,8 +660,8 @@ class TreeBuilder:
 def _group_ids(keys: list[Optional[int]], n_groups: int) -> list[tuple[int, ...]]:
     """For each group g < n_groups, the ids i with keys[i] == g, ascending.
 
-    A None key is in no group.  Grouping once at the end keeps no list per
-    node alive while a tree is built.
+    A None key is in no group.  Sorting in numpy makes no list per node,
+    which the cyclic garbage collector would scan while the tree is built.
     """
     key = np.array(keys, dtype=float)  # None becomes nan
     ids = np.flatnonzero(~np.isnan(key))

@@ -490,6 +490,8 @@ def goofspiel_surrogate_payoffs(game: GameTree) -> np.ndarray:
 _MAX_BETS = 5
 
 
+# Both helpers are cached: a round has only a few dozen betting states, and
+# the tuples they return are immutable.
 @functools.cache
 def _betting_actions(state: str) -> tuple[str, ...]:
     if state in ("", "k"):

@@ -267,3 +267,20 @@ def test_random_games_are_flagged_alike(unchecked, breadth_first):
         assert validate_game(game).violations == expected, seed
         flagged += sum("perfect recall" in v for v in expected)
     assert flagged > 100
+
+
+@pytest.mark.parametrize("breadth_first", [False, True])
+def test_builder_lists_children_and_members_in_creation_order(
+        unchecked, breadth_first):
+    for seed in range(20):
+        game = random_game(seed, breadth_first)
+        children = {n.id: [] for n in game.nodes}
+        members = {i.id: [] for i in game.infosets}
+        for node in game.nodes:  # ascending ids: creation order
+            if node.parent is not None:
+                children[node.parent].append(node.id)
+            if node.kind == "player":
+                members[node.infoset].append(node.id)
+        assert [list(n.children) for n in game.nodes] == list(children.values())
+        assert [list(i.members) for i in game.infosets] == \
+            list(members.values())
