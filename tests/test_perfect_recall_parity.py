@@ -233,6 +233,11 @@ def test_sequences_do_not_depend_on_node_id_order():
         assert after.children_infosets == before.children_infosets
         for old, new in new_id.items():
             assert after.node_seq[new] == before.node_seq[old]
+        # A second build for the player numbers the sequences afresh.
+        again = efg.build_treeplex(shuffled, player)
+        assert again.sequences == after.sequences
+        assert again.children_infosets == after.children_infosets
+        assert (again.node_seq == after.node_seq).all()
 
 
 def random_game(seed: int, breadth_first: bool) -> GameTree:
