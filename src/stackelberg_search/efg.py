@@ -250,13 +250,16 @@ def validate_game(game: GameTree) -> ValidationReport:
 def _preorder(game: GameTree) -> tuple[list[int], Optional[int]]:
     """Node ids in depth-first preorder from the root, children in their
     listed order, up to the first node reached twice (returned second; None
-    in a tree)."""
+    in a tree).  Child ids outside 0..n-1 are skipped."""
     nodes = game.nodes
-    seen = bytearray(len(nodes))
+    n = len(nodes)
+    seen = bytearray(n)
     order: list[int] = []
     stack = [game.root]
     while stack:
         nid = stack.pop()
+        if not 0 <= nid < n:
+            continue
         if seen[nid]:
             return order, nid
         seen[nid] = 1

@@ -23,6 +23,8 @@ ctilde drives the follower-value recursion and the bounds (so bounds bind
 even where the blueprint response never goes); cj drives the leader's
 objective and the entry-mass bookkeeping.  Mixing the two up makes the
 upper-bound constraints vacuous and the refinement unsafe.
+
+Each subgame MILP has joint-reach and realized-value rows and no big-M.
 """
 
 from __future__ import annotations
@@ -546,9 +548,10 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
 
     Maximizes the leader's full-game payoff contribution of the subgame
     subject to: sequence-form flow for both players (heads normalized to 1),
-    exact follower best-response structure via slack variables and big-M,
-    entry-mass conservation, the head-value bounds, and joint-reach rows
-    that couple the two players' flows (Bosansky & Cermak, AAAI 2015):
+    value rows v_I >= sum(child v) + sum(g2 * r1) per action of I,
+    entry-mass conservation, the head-value bounds, joint-reach rows that
+    couple the two players' flows (Bosansky & Cermak, AAAI 2015), and
+    realized-value rows (after Cermak et al., AAAI 2016):
 
     - each inner node h has a reach x(h) in [0, 1], fixed to 1 at the
       initial states; a leaf's reach is its p(z);
@@ -557,16 +560,17 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
       is capped by the acting player's sequence to c (always local: the
       acting infoset lies inside the subgame);
     - each leaf has the McCormick row p(z) >= r1 + r2 - 1 over its local
-      sequences, a side with none being the constant 1.
+      sequences, a side with none being the constant 1;
+    - each follower head I has sum(ctilde * u2 * p(z)) >= v_I over the
+      leaves below I.
 
-    The caps p(z) <= r1 and p(z) <= r2 follow from the chain
-    p(z) <= x(c) <= r_i(seq), so the model has no separate rows for them.
-    The rows cut off no integer solution: at any integer r2, the mass row
-    forces p(z) = r1 * r2 on every leaf with cj > 0 (each p(z) is at most
-    r1 * r2, and the mass is what r1 * r2 puts there), and a leaf with
-    cj = 0 has objective weight 0, so p(z) = r1 * r2 costs nothing there.
-    Then x(h) = r1(h) * r2(h), the product of the local sequences to h,
-    meets every reach row, so the integer optimum is unchanged; only the
+    There is no big-M.  The caps p(z) <= r1 and p(z) <= r2 follow from the
+    chain p(z) <= x(c) <= r_i(seq).  At any integer r2 the McCormick row
+    and the caps force p(z) = r1 * r2 on every leaf, so the realized row's
+    left side is the follower's value of its chosen pure plan below I.  The
+    value rows give v_I >= BR(I), and a chosen plan never beats BR(I), so
+    all three are equal.  Then x(h) = r1(h) * r2(h) meets every reach row,
+    so the integer feasible set and the optimum are unchanged; only the
     relaxation tightens.
     """
     tp1 = game.treeplex(LEADER)
@@ -611,7 +615,7 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
         coeffs[var] = coeffs.get(var, 0.0) + 1.0
         lp.add_constraint(coeffs, "==", 0.0, name=f"r2-flow-{infoset}")
 
-    # Follower value/slack system on the ctilde scale.
+    # Follower value rows on the ctilde scale.
     v_vars = {infoset: lp.add_var(f"v[I{infoset}]", -np.inf, np.inf)
               for infoset in sub.infosets[FOLLOWER]}
 
@@ -623,33 +627,16 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
     for z in sub.terminals:
         s2 = leaf_seq2[z]
         if s2 == _CONST_ONE:
-            # The follower never acts inside before this leaf; its value
-            # belongs to the entry of whatever head group the leaf precedes.
-            # Such leaves exist only when the subgame has no follower infoset
-            # on that path, so no value row consumes them.
+            # No follower infoset inside on the path: no row reads its g2.
             continue
         weight = quantities.ctilde[z] * game.node(z).payoffs[1]
         if weight != 0.0:
             g2_terms.setdefault(s2, []).append((z, weight))
 
-    # Per-infoset payoff mass: every value variable of the system satisfies
-    # |v_I| <= mass(I) at integer-feasible points, so each slack constraint
-    # can carry its own (much tighter) big-M instead of one global constant.
-    mass_of: dict[int, float] = {}
-    for infoset in reversed(sub.top_down[FOLLOWER]):
-        total = 0.0
-        for seq in tp2.actions_of(infoset):
-            total += sum(abs(w) for _, w in g2_terms.get(seq, ()))
-            total += sum(mass_of.get(child, 0.0)
-                         for child in tp2.children_infosets.get(seq, ()))
-        mass_of[infoset] = total
-
     for infoset in sub.infosets[FOLLOWER]:
-        seq_m = 2.0 * mass_of[infoset] + 1.0
         for seq in tp2.actions_of(infoset):
-            slack = lp.add_var(f"s[{tp2.seq_label(seq)}]", 0.0, np.inf)
-            # v_I - s_seq - sum(child v) - sum(g2 * r1) = const
-            coeffs = {v_vars[infoset]: 1.0, slack: -1.0}
+            # v_I - sum(child v) - sum(g2 * r1) >= const
+            coeffs = {v_vars[infoset]: 1.0}
             const = 0.0
             for child in tp2.children_infosets.get(seq, ()):
                 if child in v_vars:
@@ -661,11 +648,8 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
                 else:
                     var = r1_vars[s1]
                     coeffs[var] = coeffs.get(var, 0.0) - weight
-            lp.add_constraint(coeffs, "==", const,
+            lp.add_constraint(coeffs, ">=", const,
                               name=f"value-{tp2.seq_label(seq)}")
-            # Slack is released only when the sequence is not chosen.
-            lp.add_constraint({slack: 1.0, r2_vars[seq]: seq_m},
-                              "<=", seq_m, name=f"slack-{tp2.seq_label(seq)}")
 
     # Head-value bounds.
     for infoset, (direction, value) in bounds.bounds.items():
@@ -691,6 +675,18 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
             mass_coeffs[p] = quantities.cj[z]
     if mass_coeffs:
         lp.add_constraint(mass_coeffs, "==", quantities.mass, name="mass")
+
+    # Realized follower value per head: sum(g2 * p) below it covers v_I.
+    head_of: dict[int, int] = {}
+    for infoset in sub.top_down[FOLLOWER]:
+        parent = tp2.sequences[tp2.entry_seq[infoset]].parent_infoset
+        head_of[infoset] = head_of.get(parent, infoset)
+    realized = {head: {v_vars[head]: -1.0} for head in sub.heads[FOLLOWER]}
+    for s2, terms in g2_terms.items():
+        realized[head_of[tp2.sequences[s2].parent_infoset]].update(
+            (p_vars[z], weight) for z, weight in terms)
+    for head, coeffs in realized.items():
+        lp.add_constraint(coeffs, ">=", 0.0, name=f"realized-I{head}")
 
     # Joint reach: x(h) per inner node, 1 at the initial states; a leaf's
     # reach is its p(z).  Sorted node ids keep mirrored subgames' models

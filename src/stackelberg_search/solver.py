@@ -339,7 +339,8 @@ def solve_milp(problem: MilpProblem,
     warm, if given, must be a feasible full assignment; its binary pattern is
     fixed and re-optimized to seed the incumbent, and the result is never
     worse than it.  time_limit bounds the whole call; on timeout the best
-    incumbent is returned with the outstanding bound gap.
+    incumbent is returned with the outstanding bound gap, unless the root
+    LP has already proven the warm start optimal.
     """
     t0 = time.perf_counter()
     best = None
@@ -352,13 +353,13 @@ def solve_milp(problem: MilpProblem,
     if root_status != OPTIMAL:
         return _finish(root_status, t0)
     root_bound = root[0]
+    if best is not None and \
+            root_bound - best[0] <= GAP_TOL * (1.0 + abs(best[0])):
+        return _finish(OPTIMAL, t0, best, root_bound, root_bound)
     time_left = None if time_limit is None \
         else time_limit - (time.perf_counter() - t0)
     if time_left is not None and time_left <= 0.0:
         return _finish(INCUMBENT_TIME_LIMIT, t0, best, root_bound, root_bound)
-    if best is not None and \
-            root_bound - best[0] <= GAP_TOL * (1.0 + abs(best[0])):
-        return _finish(OPTIMAL, t0, best, root_bound, root_bound)
 
     res = problem._solve_mip(time_left)
     if res.x is not None:

@@ -98,6 +98,22 @@ def test_validate_flags_broken_child_links():
     assert any("parent link" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("bad", [99, -1])
+def test_validate_reports_out_of_range_children_without_walking_them(bad):
+    game = simultaneous_game()
+    root = game.node(game.root)
+    lost, kept = root.children
+    nodes = list(game.nodes)
+    nodes[root.id] = root._replace(children=(bad, kept))
+    report = validate_game(GameTree(nodes=nodes, infosets=game.infosets))
+    # Only the lost branch goes unreported: -1 is not walked as the last
+    # node, which the kept branch reaches in its turn.
+    assert report.violations == [
+        f"node {root.id}: child {bad} out of range",
+        *(f"node {nid}: unreachable from root"
+          for nid in (lost, *game.node(lost).children))]
+
+
 def test_treeplex_shapes_simultaneous():
     game = simultaneous_game()
     tp1 = game.treeplex(LEADER)

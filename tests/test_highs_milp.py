@@ -1,7 +1,8 @@
 """The contract of ``solve_milp`` on real subgame models.
 
 * A warm start that already meets the root relaxation bound is proven
-  optimal there, without a call to HiGHS's MIP solver.
+  optimal there, without a call to HiGHS's MIP solver, even when the time
+  limit ran out during the root LP.
 * A solve stopped by its time limit returns an incumbent at least as good as
   its warm start, a gap that covers the true optimum, and stops near the
   limit.
@@ -31,10 +32,10 @@ from stackelberg_search.solver import (
 )
 
 
-def _models(family, **kwargs):
+def _models(family, method="zerosum", **kwargs):
     m = kwargs.pop("m", None)
     game = generate(family, **kwargs)
-    blueprint = make_blueprint(game, "zerosum").plan
+    blueprint = make_blueprint(game, method).plan
     partition = partition_subgames(game, family, m=m)
     context = prepare_search(game, blueprint, partition)
 
@@ -56,6 +57,13 @@ def goofspiel():
 @pytest.fixture(scope="module")
 def leduc():
     return _models("leduc", n=3, rho=0.1)
+
+
+@pytest.fixture(scope="module")
+def leduc_uniform():
+    """Leduc under the uniform blueprint: subgames 6 and 30 still run into
+    a 0.5 s cap, where the zero-sum blueprint's close at the root."""
+    return _models("leduc", "uniform", n=3, rho=0.1)
 
 
 @pytest.fixture
@@ -112,6 +120,14 @@ def test_warm_start_optimal_at_the_root_needs_no_mip(monkeypatch, goofspiel):
     assert sol.objective == _warm_lp_objective(model.problem, model.warm)
 
 
+def test_root_closure_outranks_a_spent_time_limit(monkeypatch, goofspiel):
+    model = goofspiel(0)
+    monkeypatch.setattr(solver, "milp", _forbid_milp)
+    sol = solve_milp(model.problem, warm=model.warm, time_limit=1e-9)
+    assert sol.status == OPTIMAL
+    assert sol.bound_gap <= solver.GAP_TOL * (1.0 + abs(sol.objective))
+
+
 def test_every_solve_goes_through_the_module_bindings(monkeypatch, goofspiel,
                                                       milp_calls):
     """Patching solver.linprog and solver.milp sees every LP and MIP, as
@@ -137,8 +153,9 @@ def test_every_solve_goes_through_the_module_bindings(monkeypatch, goofspiel,
     assert milp_calls == []
 
 
-def test_capped_solve_is_sandwiched_and_stops_near_its_cap(leduc, milp_calls):
-    model = leduc(37)
+def test_capped_solve_is_sandwiched_and_stops_near_its_cap(leduc_uniform,
+                                                          milp_calls):
+    model = leduc_uniform(30)
     cap = 0.5
     capped = solve_milp(model.problem, warm=model.warm, time_limit=cap)
     assert capped.status == INCUMBENT_TIME_LIMIT
@@ -155,8 +172,8 @@ def test_capped_solve_is_sandwiched_and_stops_near_its_cap(leduc, milp_calls):
 
 
 @pytest.mark.parametrize("family,index,time_limit", [
-    ("goofspiel", 0, None), ("goofspiel", 1, 0.5),
-    ("leduc", 6, None), ("leduc", 31, None), ("leduc", 0, 0.5)])
+    ("goofspiel", 0, None), ("leduc_uniform", 30, 0.5),
+    ("leduc", 6, None), ("leduc", 31, None), ("leduc_uniform", 6, 0.5)])
 def test_returned_binaries_are_exactly_zero_or_one(request, family, index,
                                                    time_limit):
     model = request.getfixturevalue(family)(index)

@@ -4,9 +4,11 @@ show their effect.
 * The rows cut off no integer solution: every model of the digest set that
   solves uncapped in well under a second reaches the optimum pinned before
   the rows existed (computed from the models without them).
-* They tighten the relaxation: on Leduc n=3 under the zero-sum blueprint,
-  the root bounds of subgames 0 and 64 fall to under half of what they were
-  (0.602 and 0.291), while the warm-start incumbents stay where they were.
+* With the realized-value rows they close the relaxation: under the
+  zero-sum blueprint every reachable Leduc n=3 model, and 13 of Goofspiel
+  n=4 m=3's 16, is proven optimal at the root without a MIP call, while the
+  warm-start incumbents stay where they were.  (The root bounds of Leduc
+  subgames 0 and 64 were 0.602 and 0.291 before either kind of row.)
 * Each solution carries its root bound and HiGHS's node count, and
   ``cli search`` writes both, with the bound gap, into its subgame files.
 """
@@ -17,6 +19,7 @@ import json
 
 import pytest
 
+from stackelberg_search import solver
 from stackelberg_search.blueprint import (
     make_blueprint,
     stage_sse_blueprint,
@@ -38,12 +41,7 @@ from stackelberg_search.search import (
     partition_subgames,
     prepare_search,
 )
-from stackelberg_search.solver import (
-    GAP_TOL,
-    INCUMBENT_TIME_LIMIT,
-    OPTIMAL,
-    solve_milp,
-)
+from stackelberg_search.solver import GAP_TOL, OPTIMAL, solve_milp
 
 
 def _models(game, blueprint, partition):
@@ -106,24 +104,44 @@ def test_joint_reach_rows_keep_every_pinned_optimum(name):
         assert solution.root_bound >= solution.objective - 1e-9, index
 
 
-@pytest.fixture(scope="module")
-def leduc3():
+def _forbid_milp(*args, **kwargs):
+    raise AssertionError("the MIP solver was called")
+
+
+def _closed_at_the_root(models, indices):
+    """index -> objective, each solve proven optimal at the root."""
+    objectives = {}
+    for index in indices:
+        model = models[index]
+        solution = solve_milp(model.problem, warm=model.warm)
+        assert solution.status == OPTIMAL, index
+        # With no MIP run the objective is the warm start's own LP.
+        assert solution.root_bound - solution.objective <= \
+            GAP_TOL * (1.0 + abs(solution.objective)), index
+        assert solution.mip_nodes == 0, index
+        objectives[index] = solution.objective
+    return objectives
+
+
+def test_every_leduc_model_closes_at_the_root(monkeypatch):
     game = generate("leduc", n=3, rho=0.1)
-    return _models(game, make_blueprint(game, "zerosum").plan,
-                   partition_subgames(game, "leduc"))
+    models = _models(game, make_blueprint(game, "zerosum").plan,
+                     partition_subgames(game, "leduc"))
+    assert len(models) == 48
+    monkeypatch.setattr(solver, "milp", _forbid_milp)
+    objectives = _closed_at_the_root(models, models)
+    # The warm starts pinned before the realized-value rows existed.
+    assert objectives[0] == pytest.approx(0.001625, abs=1e-6)
+    assert objectives[64] == pytest.approx(-0.014242, abs=1e-6)
 
 
-@pytest.mark.parametrize("index,ceiling,warm", [
-    (0, 0.25, 0.001625), (64, 0.15, -0.014242)])
-def test_joint_reach_rows_tighten_the_leduc_root_bound(leduc3, index,
-                                                       ceiling, warm):
-    model = leduc3[index]
-    # No time left after the root: the warm start and the root bound.
-    solution = solve_milp(model.problem, warm=model.warm, time_limit=0.0)
-    assert solution.status == INCUMBENT_TIME_LIMIT
-    assert solution.objective == pytest.approx(warm, abs=1e-6)
-    assert solution.objective <= solution.root_bound <= ceiling
-    assert solution.mip_nodes == 0
+def test_goofspiel_models_close_at_the_root(monkeypatch):
+    game = generate("goofspiel", n=4)
+    models = _models(game, make_blueprint(game, "zerosum").plan,
+                     partition_subgames(game, "goofspiel", m=3))
+    monkeypatch.setattr(solver, "milp", _forbid_milp)
+    _closed_at_the_root(
+        models, (0, 1, 2, 3, 20, 21, 23, 40, 41, 42, 61, 62, 63))
 
 
 def test_root_closed_goofspiel_subgame_reports_no_mip_nodes():

@@ -93,13 +93,13 @@ def _two_stage():
 GOLDEN = {
     "goofspiel-n3-m2-uniform": (
         _goofspiel, 27,
-        "0939bdbdc2ace9397d1eabcf9fd55bd2d4899d6971d4da8990139226cb99d5f2"),
+        "7533d4cb587ec2eaff9f8cc18ceee4e7a91c961df7c5cf5c210d0f5638c8f396"),
     "leduc-n2-uniform": (
         _leduc, 44,
-        "245c2f44b7d0e8bb11d3e79fd1312f1aaebe81c45702dcd0c71a07821cc105f8"),
+        "81a7331841e36325b28d1f26b7bfc4a7c2a2d5f11a381c1f6fabb7c6d1847f4b"),
     "twostage-seed4-stage-sse": (
         _two_stage, 5,
-        "e5640519ae65fab73559ddd15aee61f6db82c1cb260f29dd87ee5547443c78f6"),
+        "d0c1aaafbc494ed45268ea22f97e16ed00f6e7400aafecd012dfdf2b4266f528"),
 }
 
 

@@ -143,7 +143,10 @@ def test_milp_warm_start_is_accepted_and_not_worse():
 def test_milp_timeout_returns_incumbent_from_warm_start():
     problem = _random_milp(3)
     base = solve_milp(problem)
-    timed = solve_milp(problem, warm=base.assignment, time_limit=0.0)
+    # All zeros is feasible (every row is <= a positive bound) and leaves a
+    # root gap; a warm start the root proves optimal is Optimal at any cap.
+    timed = solve_milp(problem, warm=np.zeros(problem.lp.n_vars),
+                       time_limit=0.0)
     assert timed.status == INCUMBENT_TIME_LIMIT
     assert timed.assignment is not None
     assert timed.objective <= base.objective + 1e-9
