@@ -123,16 +123,33 @@ def _closed_at_the_root(models, indices):
     return objectives
 
 
-def test_every_leduc_model_closes_at_the_root(monkeypatch):
+@pytest.fixture(scope="module")
+def leduc3():
     game = generate("leduc", n=3, rho=0.1)
-    models = _models(game, make_blueprint(game, "zerosum").plan,
-                     partition_subgames(game, "leduc"))
-    assert len(models) == 48
+    return _models(game, make_blueprint(game, "zerosum").plan,
+                   partition_subgames(game, "leduc"))
+
+
+@pytest.mark.parametrize("index,ceiling,warm", [
+    (0, 0.25, 0.001625), (64, 0.15, -0.014242)])
+def test_joint_reach_rows_tighten_the_leduc_root_bound(leduc3, index,
+                                                       ceiling, warm):
+    model = leduc3[index]
+    # No time left after the root: the root closes on the warm start, so
+    # the spent limit does not matter.
+    solution = solve_milp(model.problem, warm=model.warm, time_limit=0.0)
+    assert solution.status == OPTIMAL
+    assert solution.objective == pytest.approx(warm, abs=1e-6)
+    # The bound meets the objective, up to the LP's rounding.
+    assert solution.objective - 1e-9 <= solution.root_bound <= ceiling
+    assert solution.root_bound == pytest.approx(warm, abs=1e-6)
+    assert solution.mip_nodes == 0
+
+
+def test_every_leduc_model_closes_at_the_root(monkeypatch, leduc3):
+    assert len(leduc3) == 48
     monkeypatch.setattr(solver, "milp", _forbid_milp)
-    objectives = _closed_at_the_root(models, models)
-    # The warm starts pinned before the realized-value rows existed.
-    assert objectives[0] == pytest.approx(0.001625, abs=1e-6)
-    assert objectives[64] == pytest.approx(-0.014242, abs=1e-6)
+    _closed_at_the_root(leduc3, leduc3)
 
 
 def test_goofspiel_models_close_at_the_root(monkeypatch):
