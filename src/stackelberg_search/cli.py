@@ -24,6 +24,7 @@ from stackelberg_search.games import generate, load_game, save_game
 from stackelberg_search.harness import (
     SAFETY_TOL,
     ExperimentConfig,
+    check_run_limits,
     evaluate_leader,
     rows_to_csv,
     run_experiment,
@@ -136,6 +137,8 @@ def _finite_or_none(value: float) -> Optional[float]:
 
 
 def cmd_search(args) -> int:
+    check_run_limits(args.workers,
+                     time_limit_per_subgame=args.time_limit_per_subgame)
     game = load_game(args.game)
     blueprint = load_plan(game, args.blueprint)
     partition = _partition(game, args)

@@ -272,6 +272,8 @@ class GameSpec:
 
     @staticmethod
     def from_dict(raw: Mapping) -> "GameSpec":
+        if not isinstance(raw, Mapping) or "family" not in raw:
+            raise GameError(f"game {raw!r} needs a 'family' key")
         known = {"family", "label", "path"}
         params = tuple(sorted((k, v) for k, v in raw.items()
                               if k not in known))
@@ -310,36 +312,59 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        """Refuse a config that cannot run, naming the offending key."""
         if not self.games:
             raise GameError("experiment config lists no games")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise GameError("alpha must lie in [0, 1]")
-        if self.beta < 1.0:
-            raise GameError("beta must be >= 1")
-        for limit in (self.subgame_time_limit, self.full_game_time_limit):
-            if limit is not None and limit <= 0.0:
-                raise GameError("time limits must be positive")
-        if self.workers < 1:
-            raise GameError("workers must be >= 1")
+        if not (_is_number(self.alpha) and 0.0 <= self.alpha <= 1.0):
+            raise GameError(f"alpha must lie in [0, 1], not {self.alpha!r}")
+        if not (_is_number(self.beta) and self.beta >= 1.0):
+            raise GameError(f"beta must be a number >= 1, not {self.beta!r}")
+        for key, value in (("seed", self.seed), ("m", self.scheme_m)):
+            if value is not None and not _is_number(value, int):
+                raise GameError(f"{key} must be an integer, not {value!r}")
+        if not isinstance(self.solve_full_game, bool):
+            raise GameError("solve_full_game must be true or false")
+        check_run_limits(self.workers,
+                         subgame_time_limit=self.subgame_time_limit,
+                         full_game_time_limit=self.full_game_time_limit)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
         raw = json.loads(text)
-        games = tuple(GameSpec.from_dict(g) for g in raw.get("games", ()))
+        if not (isinstance(raw, dict)
+                and isinstance(raw.get("games", []), list)):
+            raise GameError("experiment config must be a JSON object whose "
+                            "games are a list")
         config = ExperimentConfig(
-            games=games,
+            games=tuple(GameSpec.from_dict(g) for g in raw.get("games", ())),
             blueprint_method=raw.get("blueprint", "zerosum"),
             scheme=raw.get("scheme", "whole-game"),
             scheme_m=raw.get("m"),
-            alpha=float(raw.get("alpha", 0.5)),
-            beta=float(raw.get("beta", 1.0)),
+            alpha=raw.get("alpha", 0.5),
+            beta=raw.get("beta", 1.0),
             subgame_time_limit=raw.get("subgame_time_limit"),
             full_game_time_limit=raw.get("full_game_time_limit"),
-            solve_full_game=bool(raw.get("solve_full_game", False)),
-            seed=int(raw.get("seed", 0)),
-            workers=int(raw.get("workers", 1)))
+            solve_full_game=raw.get("solve_full_game", False),
+            seed=raw.get("seed", 0),
+            workers=raw.get("workers", 1))
         config.validate()
         return config
+
+
+def _is_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def check_run_limits(workers, **time_limits: Optional[float]) -> None:
+    """Refuse a worker count other than an integer >= 1 or a time limit
+    other than a positive finite number (None is no limit), by key."""
+    if not (_is_number(workers, int) and workers >= 1):
+        raise GameError(f"workers must be an integer >= 1, not {workers!r}")
+    for key, limit in time_limits.items():
+        if limit is not None and not (
+                _is_number(limit) and 0.0 < limit < float("inf")):
+            raise GameError(f"time limits must be positive and finite: "
+                            f"{key} is {limit!r}")
 
 
 @dataclass

@@ -512,15 +512,13 @@ _CONST_ONE = -1
 
 
 def _local_seq(tp, node_id: int, inside: set[int]) -> int:
-    """Deepest in-subgame sequence on the path to node_id."""
+    """Deepest in-subgame sequence on the path to node_id.
+
+    A subgame holds every descendant of its nodes and no infoset straddles
+    it, so the player's last action on the path is inside it, or none is.
+    """
     seq = int(tp.node_seq[node_id])
-    while True:
-        record = tp.sequences[seq]
-        if record.parent_infoset is None:
-            return _CONST_ONE
-        if record.parent_infoset in inside:
-            return seq
-        seq = tp.entry_seq[record.parent_infoset]
+    return seq if tp.sequences[seq].parent_infoset in inside else _CONST_ONE
 
 
 @dataclass
@@ -608,10 +606,8 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
     for infoset in sub.infosets[FOLLOWER]:
         entry = tp2.entry_seq[infoset]
         coeffs = {r2_vars[seq]: -1.0 for seq in tp2.actions_of(infoset)}
-        var = entry2_vars.get(entry, r2_vars.get(entry))
-        if var is None:
-            raise GameError(f"follower infoset {infoset} has no entry inside "
-                            f"subgame {sub.index}")
+        # A head's entry is an entry variable, any other's an inside action.
+        var = entry2_vars[entry] if entry in entry2_vars else r2_vars[entry]
         coeffs[var] = coeffs.get(var, 0.0) + 1.0
         lp.add_constraint(coeffs, "==", 0.0, name=f"r2-flow-{infoset}")
 
@@ -651,8 +647,9 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
             lp.add_constraint(coeffs, ">=", const,
                               name=f"value-{tp2.seq_label(seq)}")
 
-    # Head-value bounds.
-    for infoset, (direction, value) in bounds.bounds.items():
+    # Head-value bounds, in ascending infoset order like the v columns:
+    # this order is the model's canonical form (solver.fingerprint).
+    for infoset, (direction, value) in sorted(bounds.bounds.items()):
         if infoset not in v_vars:
             raise GameError(f"bound for infoset {infoset} outside subgame")
         if direction == LOWER:
@@ -689,8 +686,8 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
         lp.add_constraint(coeffs, ">=", 0.0, name=f"realized-I{head}")
 
     # Joint reach: x(h) per inner node, 1 at the initial states; a leaf's
-    # reach is its p(z).  Sorted node ids keep mirrored subgames' models
-    # alike (solver.fingerprint).
+    # reach is its p(z).  Sorted node ids give mirrored subgames the same
+    # columns and rows in the same order (solver.fingerprint).
     reach = dict(p_vars)
     for h in sorted(sub.nodes):
         if h not in reach:
@@ -953,11 +950,8 @@ def _incumbent_payoff(model: SubgameModel, solution: MilpSolution,
         s1 = model.leaf_seq1[z]
         f1 = 1.0 if s1 == _CONST_ONE else local[s1]
         s2 = model.leaf_seq2[z]
-        if s2 == _CONST_ONE:
-            f2 = 1.0
-        else:
-            var = model.r2_vars.get(s2, model.entry2_vars.get(s2))
-            f2 = 1.0 if solution.assignment[var] > 0.5 else 0.0
+        f2 = 1.0 if s2 == _CONST_ONE \
+            else float(solution.assignment[model.r2_vars[s2]] > 0.5)
         total += weight * f1 * f2
     return total
 

@@ -107,23 +107,6 @@ class LinearProgram:
         self.rhs.append(float(rhs))
         self.row_names.append(name)
 
-    def dump(self) -> str:
-        """Fixed-format text rendering for debugging."""
-        out = ["maximize"]
-        terms = [f"{c:+.12g} {self.names[i]}"
-                 for i, c in enumerate(self.objective) if c != 0.0]
-        out.append("  " + (" ".join(terms) if terms else "0"))
-        out.append("subject to")
-        for idx, val, rel, rhs, name in self.rows:
-            lhs = " ".join(f"{v:+.12g} {self.names[i]}"
-                           for i, v in zip(idx, val)) or "0"
-            tag = f"  [{name}] " if name else "  "
-            out.append(f"{tag}{lhs} {rel} {rhs:.12g}")
-        out.append("bounds")
-        for i, nm in enumerate(self.names):
-            out.append(f"  {self.lower[i]:.12g} <= {nm} <= {self.upper[i]:.12g}")
-        return "\n".join(out) + "\n"
-
 
 @dataclass(frozen=True)
 class MilpProblem:
@@ -234,11 +217,12 @@ class MilpSolution:
 class Fingerprint:
     """A MILP and its warm start, reduced to what decides the solve.
 
-    structure digests what must match exactly: the column count and bounds,
-    the binaries, the warm start, and each row's variables and relation.
-    numbers holds the objective, then the coefficients and right-hand sides.
-    Rows are taken sorted by (variables, relation), so two models that add
-    the same rows in a different order have the same fingerprint.
+    structure digests what must match exactly: the counts, the binaries,
+    the coordinate matrix's rows and columns, the relations, the column
+    bounds and the warm start.  numbers holds the objective, then the
+    coefficients and right-hand sides.  Both are taken in build order, so
+    twins must be built with their columns and rows in the same order;
+    search.build_constrained_milp owns that order.
     """
 
     structure: bytes
@@ -257,22 +241,15 @@ class Fingerprint:
 
 def fingerprint(problem: MilpProblem, warm: np.ndarray) -> Fingerprint:
     lp = problem.lp
-    rows = sorted(lp.rows, key=lambda row: (row[0], row[2]))
-    lengths = [len(row[0]) for row in rows]
     digest = hashlib.sha256()
-    for part in ([lp.n_vars, len(rows), len(problem.binaries)],
-                 problem.binaries, lengths,
-                 [i for row in rows for i in row[0]]):
+    for part in ([lp.n_vars, len(lp.rhs), len(lp.coef), len(problem.binaries)],
+                 problem.binaries, lp.row, lp.col):
         digest.update(np.asarray(part, dtype=np.int64).tobytes())
+    digest.update("".join(lp.relation).encode())
     for part in (lp.lower, lp.upper, warm):
         digest.update(np.asarray(part, dtype=np.float64).tobytes())
-    digest.update("".join(row[2] for row in rows).encode())
-    numbers = np.concatenate([
-        np.asarray(lp.objective, dtype=np.float64),
-        np.fromiter((v for row in rows for v in row[1]), dtype=np.float64,
-                    count=sum(lengths)),
-        np.fromiter((row[3] for row in rows), dtype=np.float64,
-                    count=len(rows))])
+    numbers = np.concatenate([np.asarray(part, dtype=np.float64)
+                              for part in (lp.objective, lp.coef, lp.rhs)])
     return Fingerprint(digest.digest(), numbers)
 
 

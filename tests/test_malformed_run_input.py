@@ -1,0 +1,57 @@
+"""Malformed `run` configs and `search` arguments exit 2 with an error line.
+
+Exit 1 is what `run` keeps for a safety violation, so a bad input must
+neither end in a traceback (exit 1) nor run on a value it cannot honour.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from stackelberg_search.cli import main
+
+GOOD_CONFIG = {"games": [{"family": "fig2"}], "blueprint": "fixed",
+               "scheme": "metadata"}
+
+
+def _run(tmp_path, document):
+    config = tmp_path / "config.json"
+    config.write_text(document if isinstance(document, str)
+                      else json.dumps(document))
+    return ["run", "--config", str(config), "--out", str(tmp_path / "o.csv")]
+
+
+def _search(tmp_path, *extra):
+    game, plan = tmp_path / "game.json", tmp_path / "blueprint.json"
+    assert main(["generate", "--family", "fig2", "--out", str(game)]) == 0
+    assert main(["blueprint", "--game", str(game), "--method", "fixed",
+                 "--out", str(plan)]) == 0
+    return ["search", "--game", str(game), "--blueprint", str(plan),
+            "--out", str(tmp_path / "out"), *extra]
+
+
+@pytest.mark.parametrize("command,given,key", [
+    ("run", [1], "JSON object"),
+    ("run", {**GOOD_CONFIG, "games": [{"n": 2}]}, "family"),
+    ("run", {**GOOD_CONFIG, "alpha": "x"}, "alpha"),
+    ("run", {**GOOD_CONFIG, "subgame_time_limit": "5"}, "subgame_time_limit"),
+    ("run", json.dumps(GOOD_CONFIG)[:-1] + ', "subgame_time_limit": NaN}',
+     "subgame_time_limit"),
+    ("run", {**GOOD_CONFIG, "solve_full_game": "no"}, "solve_full_game"),
+    ("search", ["--workers", "0"], "workers"),
+    ("search", ["--time-limit-per-subgame=-1"], "time_limit_per_subgame"),
+    ("search", ["--time-limit-per-subgame", "nan"], "time_limit_per_subgame"),
+], ids=["config-not-object", "game-without-family", "alpha-string",
+        "time-limit-string", "time-limit-nan", "full-game-string",
+        "search-workers-0",
+        "search-time-limit-negative", "search-time-limit-nan"])
+def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, command,
+                                                given, key):
+    argv = _run(tmp_path, given) if command == "run" \
+        else _search(tmp_path, *given)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err

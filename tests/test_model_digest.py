@@ -96,7 +96,7 @@ GOLDEN = {
         "7533d4cb587ec2eaff9f8cc18ceee4e7a91c961df7c5cf5c210d0f5638c8f396"),
     "leduc-n2-uniform": (
         _leduc, 44,
-        "81a7331841e36325b28d1f26b7bfc4a7c2a2d5f11a381c1f6fabb7c6d1847f4b"),
+        "b41901f932bb35581c1f1eb89026f905883dd5f211ce6f95e3e3487137a8ad70"),
     "twostage-seed4-stage-sse": (
         _two_stage, 5,
         "d0c1aaafbc494ed45268ea22f97e16ed00f6e7400aafecd012dfdf2b4266f528"),

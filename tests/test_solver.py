@@ -178,16 +178,6 @@ def test_milp_deterministic_assignments():
     assert np.array_equal(a.assignment, b.assignment)
 
 
-def test_lp_dump_fixed_format():
-    lp = LinearProgram()
-    x = lp.add_var("x", 0.0, 1.0, objective=2.0)
-    lp.add_constraint({x: 1.0}, "<=", 0.5, name="cap")
-    text = lp.dump()
-    assert text.splitlines()[0] == "maximize"
-    assert "[cap] +1 x <= 0.5" in text
-    assert "0 <= x <= 1" in text
-
-
 def _forbid_lp(*args, **kwargs):
     raise AssertionError("an LP reached HiGHS")
 
