@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -277,6 +278,10 @@ class GameSpec:
         known = {"family", "label", "path"}
         params = tuple(sorted((k, v) for k, v in raw.items()
                               if k not in known))
+        for key, value in params:
+            if not (_is_number(value) and math.isfinite(value)):
+                raise GameError(f"game parameter {key!r} must be a finite "
+                                f"number, not {value!r}")
         return GameSpec(family=str(raw["family"]),
                         label=str(raw.get("label", "")),
                         path=raw.get("path"), params=params)
@@ -335,20 +340,25 @@ class ExperimentConfig:
                 and isinstance(raw.get("games", []), list)):
             raise GameError("experiment config must be a JSON object whose "
                             "games are a list")
+        unknown = sorted(raw.keys() - {"games", *_CONFIG_FIELDS})
+        if unknown:
+            raise GameError(f"experiment config has unknown keys: "
+                            f"{', '.join(unknown)}")
         config = ExperimentConfig(
             games=tuple(GameSpec.from_dict(g) for g in raw.get("games", ())),
-            blueprint_method=raw.get("blueprint", "zerosum"),
-            scheme=raw.get("scheme", "whole-game"),
-            scheme_m=raw.get("m"),
-            alpha=raw.get("alpha", 0.5),
-            beta=raw.get("beta", 1.0),
-            subgame_time_limit=raw.get("subgame_time_limit"),
-            full_game_time_limit=raw.get("full_game_time_limit"),
-            solve_full_game=raw.get("solve_full_game", False),
-            seed=raw.get("seed", 0),
-            workers=raw.get("workers", 1))
+            **{_CONFIG_FIELDS[key]: value for key, value in raw.items()
+               if key != "games"})
         config.validate()
         return config
+
+
+# Config JSON key -> ExperimentConfig field, for every key but "games".
+_CONFIG_FIELDS = {"blueprint": "blueprint_method", "scheme": "scheme",
+                  "m": "scheme_m", "alpha": "alpha", "beta": "beta",
+                  "subgame_time_limit": "subgame_time_limit",
+                  "full_game_time_limit": "full_game_time_limit",
+                  "solve_full_game": "solve_full_game", "seed": "seed",
+                  "workers": "workers"}
 
 
 def _is_number(value, kinds=(int, float)) -> bool:

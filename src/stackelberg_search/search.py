@@ -14,15 +14,15 @@ the leader's blueprint reach ("the follower plays to reach the subgame"):
     ctilde(z) = chance(z) * r1_bp(prefix of the leader's sequence to z taken
                                   outside the subgame)
 
-The mass/objective scale additionally multiplies the follower's blueprint
+The objective scale additionally multiplies the follower's blueprint
 best-response reach:
 
     cj(z) = ctilde(z) * r2_bp(outside prefix of the follower's sequence)
 
 ctilde drives the follower-value recursion and the bounds (so bounds bind
 even where the blueprint response never goes); cj drives the leader's
-objective and the entry-mass bookkeeping.  Mixing the two up makes the
-upper-bound constraints vacuous and the refinement unsafe.
+objective.  Mixing the two up makes the upper bounds vacuous and the
+refinement unsafe.
 
 Each subgame MILP has joint-reach and realized-value rows and no big-M.
 """
@@ -308,7 +308,6 @@ class SubgameQuantities:
 
     index: int
     omega: dict[int, float]          # initial state -> leader*chance reach
-    mass: float                      # blueprint probability of entering
     eta: Optional[float]             # 1 / sum(omega), None when unreachable
     pre1: dict[int, int]             # member node -> outside leader seq
     pre2: dict[int, int]             # member node -> outside follower seq
@@ -340,17 +339,13 @@ def compute_subgame_quantities(game: GameTree, partition: SubgamePartition,
                 stack.extend(game.node(nid).children)
         ctilde: dict[int, float] = {}
         cj: dict[int, float] = {}
-        mass = 0.0
         for z in sub.terminals:
             ct = float(reach[z] * r1_bp.probs[pre1[z]])
             ctilde[z] = ct
             cj[z] = ct * float(r2_bp.probs[pre2[z]])
-            mass += float(reach[z]
-                          * r1_bp.probs[tp1.node_seq[z]]
-                          * r2_bp.probs[tp2.node_seq[z]])
         total_omega = sum(omega.values())
         eta = (1.0 / total_omega) if total_omega > 0.0 else None
-        out.append(SubgameQuantities(sub.index, omega, mass, eta,
+        out.append(SubgameQuantities(sub.index, omega, eta,
                                      pre1, pre2, ctilde, cj))
     return out
 
@@ -372,8 +367,8 @@ class BoundsMap:
     beta: float
 
 
-# Bounds are inert when the bound dictionary is empty, so the slack
-# parameters of this placeholder never matter.
+# An empty bound dictionary leaves every follower-value column free, so the
+# slack parameters of this placeholder never matter.
 NO_BOUNDS = BoundsMap({}, 0.5, 1.0)
 
 
@@ -529,7 +524,6 @@ class SubgameModel:
     subgame: Subgame
     r1_vars: dict[int, int]          # leader global seq id -> LP var
     r2_vars: dict[int, int]          # follower global seq id -> LP var
-    entry2_vars: dict[int, int]      # follower entry seq id -> LP var
     v_vars: dict[int, int]           # follower infoset -> LP var
     p_vars: dict[int, int]           # terminal node -> LP var
     leaf_seq1: dict[int, int]        # terminal -> local leader seq or _CONST_ONE
@@ -545,10 +539,10 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
     """The bounded refinement program over one subgame's local sequences.
 
     Maximizes the leader's full-game payoff contribution of the subgame
-    subject to: sequence-form flow for both players (heads normalized to 1),
-    value rows v_I >= sum(child v) + sum(g2 * r1) per action of I,
-    entry-mass conservation, the head-value bounds, joint-reach rows that
-    couple the two players' flows (Bosansky & Cermak, AAAI 2015), and
+    subject to: sequence-form flow for both players (a head's entry is the
+    constant 1), value rows v_I >= sum(child v) + sum(g2 * r1) per action
+    of I, each head's bound as a bound on its v_I column, joint-reach rows
+    that couple the two players' flows (Bosansky & Cermak, AAAI 2015), and
     realized-value rows (after Cermak et al., AAAI 2016):
 
     - each inner node h has a reach x(h) in [0, 1], fixed to 1 at the
@@ -578,42 +572,34 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
     inside1 = set(sub.infosets[LEADER])
     inside2 = set(sub.infosets[FOLLOWER])
 
-    # Leader local action sequences.
-    r1_vars: dict[int, int] = {}
-    for infoset in sub.infosets[LEADER]:
-        for seq in tp1.actions_of(infoset):
-            r1_vars[seq] = lp.add_var(f"r1[{tp1.seq_label(seq)}]", 0.0, 1.0)
-    for infoset in sub.infosets[LEADER]:
-        coeffs = {r1_vars[seq]: -1.0 for seq in tp1.actions_of(infoset)}
-        if infoset in sub.heads[LEADER]:
-            lp.add_constraint(coeffs, "==", -1.0, name=f"r1-head-{infoset}")
-        else:
-            entry = tp1.entry_seq[infoset]
-            coeffs[r1_vars[entry]] = coeffs.get(r1_vars[entry], 0.0) + 1.0
-            lp.add_constraint(coeffs, "==", 0.0, name=f"r1-flow-{infoset}")
+    # Local action sequences and flow rows of both players: a head's entry
+    # is the constant 1, any other infoset's an inside action.
+    seq_vars: dict[int, dict[int, int]] = {LEADER: {}, FOLLOWER: {}}
+    for player, tag in ((LEADER, "r1"), (FOLLOWER, "r2")):
+        tp, own = game.treeplex(player), seq_vars[player]
+        for infoset in sub.infosets[player]:
+            for seq in tp.actions_of(infoset):
+                own[seq] = lp.add_var(f"{tag}[{tp.seq_label(seq)}]", 0.0, 1.0)
+        for infoset in sub.infosets[player]:
+            coeffs = {own[seq]: -1.0 for seq in tp.actions_of(infoset)}
+            if infoset in sub.heads[player]:
+                lp.add_constraint(coeffs, "==", -1.0,
+                                  name=f"{tag}-head-{infoset}")
+            else:
+                coeffs[own[tp.entry_seq[infoset]]] = 1.0
+                lp.add_constraint(coeffs, "==", 0.0,
+                                  name=f"{tag}-flow-{infoset}")
+    r1_vars, r2_vars = seq_vars[LEADER], seq_vars[FOLLOWER]
 
-    # Follower local action sequences plus explicit entry variables.
-    r2_vars: dict[int, int] = {}
-    entry2_vars: dict[int, int] = {}
+    # Follower values on the ctilde scale; a head's bound bounds its column.
+    outside = bounds.bounds.keys() - set(sub.infosets[FOLLOWER])
+    if outside:
+        raise GameError(f"bound for infoset {min(outside)} outside subgame")
+    v_vars: dict[int, int] = {}
     for infoset in sub.infosets[FOLLOWER]:
-        for seq in tp2.actions_of(infoset):
-            r2_vars[seq] = lp.add_var(f"r2[{tp2.seq_label(seq)}]", 0.0, 1.0)
-    for infoset in sub.heads[FOLLOWER]:
-        entry = tp2.entry_seq[infoset]
-        if entry not in entry2_vars:
-            entry2_vars[entry] = lp.add_var(
-                f"r2-entry[{tp2.seq_label(entry)}]", 1.0, 1.0)
-    for infoset in sub.infosets[FOLLOWER]:
-        entry = tp2.entry_seq[infoset]
-        coeffs = {r2_vars[seq]: -1.0 for seq in tp2.actions_of(infoset)}
-        # A head's entry is an entry variable, any other's an inside action.
-        var = entry2_vars[entry] if entry in entry2_vars else r2_vars[entry]
-        coeffs[var] = coeffs.get(var, 0.0) + 1.0
-        lp.add_constraint(coeffs, "==", 0.0, name=f"r2-flow-{infoset}")
-
-    # Follower value rows on the ctilde scale.
-    v_vars = {infoset: lp.add_var(f"v[I{infoset}]", -np.inf, np.inf)
-              for infoset in sub.infosets[FOLLOWER]}
+        direction, value = bounds.bounds.get(infoset, (LOWER, -np.inf))
+        low, up = (value, np.inf) if direction == LOWER else (-np.inf, value)
+        v_vars[infoset] = lp.add_var(f"v[I{infoset}]", low, up)
 
     leaf_seq1 = {z: _local_seq(tp1, z, inside1) for z in sub.terminals}
     leaf_seq2 = {z: _local_seq(tp2, z, inside2) for z in sub.terminals}
@@ -647,31 +633,10 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
             lp.add_constraint(coeffs, ">=", const,
                               name=f"value-{tp2.seq_label(seq)}")
 
-    # Head-value bounds, in ascending infoset order like the v columns:
-    # this order is the model's canonical form (solver.fingerprint).
-    for infoset, (direction, value) in sorted(bounds.bounds.items()):
-        if infoset not in v_vars:
-            raise GameError(f"bound for infoset {infoset} outside subgame")
-        if direction == LOWER:
-            if value == NEG_INF:
-                continue  # vacuous
-            lp.add_constraint({v_vars[infoset]: 1.0}, ">=", value,
-                              name=f"bound-lo-I{infoset}")
-        else:
-            lp.add_constraint({v_vars[infoset]: 1.0}, "<=", value,
-                              name=f"bound-up-I{infoset}")
-
-    # Leaf probabilities, objective, and entry-mass conservation.
-    p_vars: dict[int, int] = {}
-    mass_coeffs: dict[int, float] = {}
-    for z in sub.terminals:
-        p = lp.add_var(f"p[z{z}]", 0.0, 1.0,
-                       objective=quantities.cj[z] * game.node(z).payoffs[0])
-        p_vars[z] = p
-        if quantities.cj[z] != 0.0:
-            mass_coeffs[p] = quantities.cj[z]
-    if mass_coeffs:
-        lp.add_constraint(mass_coeffs, "==", quantities.mass, name="mass")
+    # Leaf probabilities and the objective.
+    p_vars = {z: lp.add_var(f"p[z{z}]", 0.0, 1.0,
+                            objective=quantities.cj[z] * game.node(z).payoffs[0])
+              for z in sub.terminals}
 
     # Realized follower value per head: sum(g2 * p) below it covers v_I.
     head_of: dict[int, int] = {}
@@ -700,33 +665,29 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
                 lp.add_constraint({reach[c]: 1.0, reach[h]: -1.0}, "==", 0.0,
                                   name=f"reach-eq-h{c}")
         elif node.kind == "player":
-            tp, seq_vars = (tp1, r1_vars) if node.player == LEADER \
-                else (tp2, r2_vars)
+            tp, own = game.treeplex(node.player), seq_vars[node.player]
             coeffs = {reach[h]: -1.0}
             for c in node.children:
                 coeffs[reach[c]] = 1.0
-                lp.add_constraint({reach[c]: 1.0,
-                                   seq_vars[int(tp.node_seq[c])]: -1.0},
-                                  "<=", 0.0, name=f"reach-cap-h{c}")
+                lp.add_constraint(
+                    {reach[c]: 1.0, own[int(tp.node_seq[c])]: -1.0},
+                    "<=", 0.0, name=f"reach-cap-h{c}")
             lp.add_constraint(coeffs, "==", 0.0, name=f"reach-sum-h{h}")
     for z in sub.terminals:
         # McCormick: p(z) >= r1 + r2 - 1, a constant-one side moved right.
         coeffs, rhs = {p_vars[z]: 1.0}, -1.0
-        for s, seq_vars in ((leaf_seq1[z], r1_vars), (leaf_seq2[z], r2_vars)):
+        for s, own in ((leaf_seq1[z], r1_vars), (leaf_seq2[z], r2_vars)):
             if s == _CONST_ONE:
                 rhs += 1.0
             else:
-                coeffs[seq_vars[s]] = -1.0
+                coeffs[own[s]] = -1.0
         lp.add_constraint(coeffs, ">=", rhs, name=f"reach-lo-z{z}")
 
-    binaries = tuple(sorted(list(r2_vars.values()) + list(entry2_vars.values())))
-    problem = MilpProblem(lp, binaries)
+    problem = MilpProblem(lp, tuple(sorted(r2_vars.values())))
 
-    # Warm start: the blueprint response's binary pattern (entries at 1,
-    # best-response action below every inside infoset, zeros elsewhere).
+    # Warm start: the blueprint response's binary pattern (best-response
+    # action below every inside infoset it reaches, zeros elsewhere).
     warm = np.zeros(lp.n_vars)
-    for var in entry2_vars.values():
-        warm[var] = 1.0
     reached = {tp2.entry_seq[i] for i in sub.heads[FOLLOWER]}
     for infoset in sub.top_down[FOLLOWER]:
         if tp2.entry_seq[infoset] in reached:
@@ -734,9 +695,8 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
             warm[r2_vars[chosen]] = 1.0
             reached.add(chosen)
     return SubgameModel(problem=problem, subgame=sub, r1_vars=r1_vars,
-                        r2_vars=r2_vars, entry2_vars=entry2_vars,
-                        v_vars=v_vars, p_vars=p_vars, leaf_seq1=leaf_seq1,
-                        leaf_seq2=leaf_seq2, warm=warm)
+                        r2_vars=r2_vars, v_vars=v_vars, p_vars=p_vars,
+                        leaf_seq1=leaf_seq1, leaf_seq2=leaf_seq2, warm=warm)
 
 
 def whole_game_subgame(game: GameTree) -> tuple[Subgame, SubgameQuantities]:
@@ -746,7 +706,7 @@ def whole_game_subgame(game: GameTree) -> tuple[Subgame, SubgameQuantities]:
     terminals = sub.terminals
     ctilde = {z: float(reach[z]) for z in terminals}
     quantities = SubgameQuantities(
-        index=0, omega={game.root: 1.0}, mass=1.0, eta=1.0,
+        index=0, omega={game.root: 1.0}, eta=1.0,
         pre1={n: 0 for n in sub.nodes}, pre2={n: 0 for n in sub.nodes},
         ctilde=ctilde, cj=dict(ctilde))
     return sub, quantities

@@ -218,10 +218,11 @@ class Fingerprint:
     """A MILP and its warm start, reduced to what decides the solve.
 
     structure digests what must match exactly: the counts, the binaries,
-    the coordinate matrix's rows and columns, the relations, the column
-    bounds and the warm start.  numbers holds the objective, then the
-    coefficients and right-hand sides.  Both are taken in build order, so
-    twins must be built with their columns and rows in the same order;
+    the coordinate matrix's rows and columns, the relations, which column
+    bounds are infinite (and their sign) and the warm start.  numbers holds
+    the objective, the coefficients, the right-hand sides and the finite
+    column bounds (an infinite one as 0).  Both are taken in build order,
+    so twins must be built with their columns and rows in the same order;
     search.build_constrained_milp owns that order.
     """
 
@@ -246,10 +247,13 @@ def fingerprint(problem: MilpProblem, warm: np.ndarray) -> Fingerprint:
                  problem.binaries, lp.row, lp.col):
         digest.update(np.asarray(part, dtype=np.int64).tobytes())
     digest.update("".join(lp.relation).encode())
-    for part in (lp.lower, lp.upper, warm):
+    bounds = np.asarray([lp.lower, lp.upper], dtype=np.float64)
+    infinite = np.isinf(bounds)
+    for part in (np.where(infinite, bounds, 0.0), warm):
         digest.update(np.asarray(part, dtype=np.float64).tobytes())
     numbers = np.concatenate([np.asarray(part, dtype=np.float64)
-                              for part in (lp.objective, lp.coef, lp.rhs)])
+                              for part in (lp.objective, lp.coef, lp.rhs)]
+                             + [np.where(infinite, 0.0, bounds).ravel()])
     return Fingerprint(digest.digest(), numbers)
 
 

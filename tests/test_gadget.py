@@ -125,7 +125,7 @@ def test_transform_rejects_unreachable_subgame():
     r1, brvs, partition, quantities, bounds = pipeline(game)
     sub = partition.subgames[0]
     unreachable = SubgameQuantities(
-        index=0, omega={3: 0.0}, mass=0.0, eta=None,
+        index=0, omega={3: 0.0}, eta=None,
         pre1=quantities[0].pre1, pre2=quantities[0].pre2,
         ctilde={5: 0.0, 6: 0.0}, cj={5: 0.0, 6: 0.0})
     with pytest.raises(GameError, match="never enters"):
@@ -139,7 +139,6 @@ def test_transform_drops_zero_reach_initial_states():
     doctored = SubgameQuantities(
         index=0,
         omega={5: 0.25, 7: 0.25, 9: 0.0},
-        mass=quantities[0].mass,
         eta=2.0,
         pre1=quantities[0].pre1,
         pre2=quantities[0].pre2,

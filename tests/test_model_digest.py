@@ -93,13 +93,13 @@ def _two_stage():
 GOLDEN = {
     "goofspiel-n3-m2-uniform": (
         _goofspiel, 27,
-        "7533d4cb587ec2eaff9f8cc18ceee4e7a91c961df7c5cf5c210d0f5638c8f396"),
+        "5c8ed66472b1897cab9cad1dea24195cfc23ddc3ed397b4db1d447642d870534"),
     "leduc-n2-uniform": (
         _leduc, 44,
-        "b41901f932bb35581c1f1eb89026f905883dd5f211ce6f95e3e3487137a8ad70"),
+        "cad85aa62d31a625bebf80160f77b9b2f46b035afae9cf30ea96ef4e9ce4864f"),
     "twostage-seed4-stage-sse": (
         _two_stage, 5,
-        "d0c1aaafbc494ed45268ea22f97e16ed00f6e7400aafecd012dfdf2b4266f528"),
+        "8237d8ec0a87189c12990e176b008a7f81219ead2448150bba858af19d8c9384"),
 }
 
 

@@ -186,33 +186,26 @@ def test_two_subgame_exit_quantities():
     r1, r2, _, _, partition, quantities, _, _ = pipeline(game)
     left, right = quantities
     assert left.omega == {3: 0.5}
-    assert left.mass == pytest.approx(0.5, abs=1e-12)
     assert left.eta == pytest.approx(2.0)
     assert left.ctilde == {5: 0.5, 6: 0.5}
     # cj carries only the outside follower reach; in-subgame choices are
     # the refinement's job, so both leaves keep the full entry weight.
     assert left.cj == {5: 0.5, 6: 0.5}
     assert right.omega == {9: 0.5}
-    assert right.mass == 0.0
     assert right.eta == pytest.approx(2.0)
     assert right.ctilde == {11: 0.5, 12: 0.5}
     assert right.cj == {11: 0.0, 12: 0.0}
 
 
-def test_quantity_masses_sum_to_entry_probability():
+def test_quantity_eta_is_the_inverse_entry_reach():
     game = two_stage_game(TwoStageSpec(n=2, M=2, m=2, kappa=0.9, seed=3))
     r1 = stage_sse_blueprint(game).plan
     brvs = compute_brvs(game, r1)
     r2, _, _ = best_response(game, r1, brvs)
     partition = partition_subgames(game, "two-stage")
     quantities = compute_subgame_quantities(game, partition, r1, r2)
-    # Every terminal sits in exactly one stage-two subgame, so the masses
-    # are the full blueprint outcome distribution.
-    assert sum(q.mass for q in quantities) == pytest.approx(1.0, abs=1e-9)
     for q in quantities:
-        assert 0.0 <= q.mass <= 1.0 + 1e-12
         total_omega = sum(q.omega.values())
-        assert q.mass <= total_omega + 1e-9
         if total_omega > 0.0:
             assert q.eta == pytest.approx(1.0 / total_omega)
         else:
@@ -222,7 +215,6 @@ def test_quantity_masses_sum_to_entry_probability():
 def test_whole_game_quantities_are_chance_reach():
     game = two_subgame_exit_game()
     sub, quantities = whole_game_subgame(game)
-    assert quantities.mass == 1.0
     assert quantities.eta == 1.0
     ids, _, _, reach, _, _ = game.leaf_arrays()
     for nid, c in zip(ids, reach):
@@ -488,12 +480,14 @@ def test_constrained_milp_binary_count_matches_local_structure():
     sub = partition.subgames[0]
     model = build_constrained_milp(game, sub, quantities[0], bounds[0],
                                    r1, brvs)
-    # One action sequence ("go") plus one entry sequence ("stay").
-    assert len(model.problem.binaries) == 2
-    assert len(model.entry2_vars) == 1
-    entry_var = next(iter(model.entry2_vars.values()))
-    assert model.problem.lp.lower[entry_var] == 1.0
-    assert model.problem.lp.upper[entry_var] == 1.0
+    # One action sequence ("go"); the head's entry ("stay") is the
+    # constant 1, not a column.
+    assert len(model.problem.binaries) == 1
+    lp = model.problem.lp
+    fixed = [name for name, low, up in zip(lp.names, lp.lower, lp.upper)
+             if low == up == 1.0]
+    # Only the initial state's reach is fixed at 1; no sequence column is.
+    assert fixed == [f"x[h{sub.initial[0]}]"]
 
 
 def test_solve_subgame_time_limit_keeps_warm_incumbent():

@@ -38,7 +38,6 @@ from stackelberg_search.search import (
 from stackelberg_search.solver import (
     GAP_TOL,
     OPTIMAL,
-    MilpProblem,
     fingerprint,
 )
 
@@ -203,11 +202,8 @@ def test_perturbed_bound_is_solved_on_its_own(shared_exit, monkeypatch):
     def perturbed(game, sub, *args):
         model = original(game, sub, *args)
         if sub.index == 1:
-            lp = model.problem.lp
-            k = next(k for k, name in enumerate(lp.row_names)
-                     if name.startswith("bound-"))
-            lp.rhs[k] += 1e-9
-            model.problem = MilpProblem(lp, model.problem.binaries)
+            var, side = _bounded_v(model)
+            side[var] += 1e-9
         return model
 
     monkeypatch.setattr(harness, "build_constrained_milp", perturbed)
@@ -215,6 +211,57 @@ def test_perturbed_bound_is_solved_on_its_own(shared_exit, monkeypatch):
     report = safe_search(*shared_exit)
     assert solved == [0, 1]
     assert [s.twin_of for s in report.solutions] == [None, None]
+
+
+def _bounded_v(model):
+    """A follower-value column with a finite head bound, and the list (the
+    LP's lower or upper) that holds that bound."""
+    lp = model.problem.lp
+    var = next(var for var in model.v_vars.values()
+               if np.isfinite(lp.lower[var]) or np.isfinite(lp.upper[var]))
+    return var, lp.lower if np.isfinite(lp.lower[var]) else lp.upper
+
+
+def _difference(first, second):
+    return fingerprint(first.problem, first.warm).difference(
+        fingerprint(second.problem, second.warm))
+
+
+@pytest.mark.parametrize("values", [(1e-16, -1e-16), (0.0, -0.0)])
+def test_head_bounds_a_round_off_apart_across_zero_still_match(shared_exit,
+                                                               values):
+    game, blueprint, partition = shared_exit
+    models = list(_models(game, blueprint, partition))
+    for model, value in zip(models, values):
+        var, side = _bounded_v(model)
+        side[var] = value
+    assert _difference(*models) == pytest.approx(abs(values[0] - values[1]),
+                                                 abs=1e-30)
+
+
+def test_finite_bound_never_matches_an_infinite_one(shared_exit):
+    game, blueprint, partition = shared_exit
+    first, second = _models(game, blueprint, partition)
+    # A finite bound of 0 enters the numbers as an infinite one does (as 0),
+    # so only the structure can tell them apart.
+    var, side = _bounded_v(first)
+    side[var] = 0.0
+    var, side = _bounded_v(second)
+    side[var] = -np.inf if side is second.problem.lp.lower else np.inf
+    assert _difference(first, second) is None
+    assert _difference(second, first) is None
+
+
+def test_fingerprint_difference_stays_finite_with_infinite_bounds(
+        shared_exit):
+    game, blueprint, partition = shared_exit
+    first, second = _models(game, blueprint, partition)
+    lp = first.problem.lp
+    assert np.isinf(lp.lower + lp.upper).any()
+    print_ = fingerprint(first.problem, first.warm)
+    assert np.all(np.isfinite(print_.numbers))
+    assert _difference(first, second) == 0.0
+    assert print_.difference(print_) == 0.0
 
 
 def test_twin_of_a_fallback_is_solved_on_its_own(shared_exit, monkeypatch):
