@@ -42,13 +42,7 @@ from stackelberg_search.search import (
     build_full_milp,
     extract_leader_plan,
 )
-from stackelberg_search.solver import (
-    INCUMBENT_TIME_LIMIT,
-    OPTIMAL,
-    MilpSolution,
-    SolverError,
-    solve_milp,
-)
+from stackelberg_search.solver import SolverError, solve_milp
 
 SENTINEL_SCALE = 1e6
 
@@ -234,8 +228,6 @@ def transform_subgame(game: GameTree, sub: Subgame,
 class GadgetSolution:
     value: float                   # on the original objective scale
     local_plan: dict[int, float]   # original leader seq -> probability
-    gadget: GadgetGame
-    solution: MilpSolution
 
 
 def solve_via_gadget(game: GameTree, sub: Subgame,
@@ -250,8 +242,7 @@ def solve_via_gadget(game: GameTree, sub: Subgame,
     gg = transform_subgame(game, sub, quantities, bounds)
     model = build_full_milp(gg.game)
     solution = solve_milp(model.problem, warm=model.warm)
-    if solution.status not in (OPTIMAL, INCUMBENT_TIME_LIMIT) or \
-            solution.assignment is None:
+    if solution.assignment is None:
         raise SolverError(
             f"gadget for subgame {sub.index}: solver returned "
             f"{solution.status}")
@@ -263,5 +254,4 @@ def solve_via_gadget(game: GameTree, sub: Subgame,
     gadget_plan = extract_leader_plan(gg.game, model, solution)
     local_plan = {orig: float(gadget_plan.probs[g])
                   for g, orig in gg.seq_map.items()}
-    return GadgetSolution(value=value, local_plan=local_plan, gadget=gg,
-                          solution=solution)
+    return GadgetSolution(value=value, local_plan=local_plan)

@@ -693,6 +693,13 @@ def random_small_game(seed: int) -> GameTree:
 # Family registry (CLI + harness)
 
 
+# The parameters generate() reads, by family, with their types.
+FAMILY_PARAMS = {
+    "twostage": {"n": int, "M": int, "m": int, "kappa": float, "seed": int},
+    "goofspiel": {"n": int, "seed": int}, "leduc": {"n": int, "rho": float},
+    "random-small": {"seed": int}}
+
+
 def generate(family: str, **kwargs) -> GameTree:
     """Build a game by family name; kwargs as in the CLI flags."""
     if family == "fig2":

@@ -31,27 +31,27 @@ from stackelberg_search.efg import (
     expected_payoffs,
 )
 from stackelberg_search.gadget import solve_via_gadget
-from stackelberg_search.games import generate, load_game
+from stackelberg_search.games import FAMILY_PARAMS, generate, load_game
 from stackelberg_search.response import best_response
 from stackelberg_search.search import (
     NO_BOUNDS,
+    SKIPPED_UNREACHABLE,
     BoundsMap,
     SubgamePartition,
     SubgameQuantities,
     SubgameSolution,
-    blueprint_local_plan,
     build_constrained_milp,
     build_full_milp,
     extract_leader_plan,
+    keep_blueprint,
     partition_subgames,
     prepare_search,
     reuse_solution,
     solve_subgame,
 )
 from stackelberg_search.solver import (
-    INCUMBENT_TIME_LIMIT,
-    OPTIMAL,
     Fingerprint,
+    MilpSolution,
     SolverError,
     fingerprint,
     solve_milp,
@@ -136,14 +136,6 @@ class SearchReport:
         return sum(1 for s in self.solutions if s.twin_of is not None)
 
 
-def _skipped(game: GameTree, sub, blueprint: RealizationPlan,
-             status: str) -> SubgameSolution:
-    return SubgameSolution(
-        index=sub.index, status=status, objective=0.0,
-        local_plan=blueprint_local_plan(game, sub, blueprint),
-        used_fallback=True, wall_time=0.0, bound_gap=0.0)
-
-
 def safe_search(game: GameTree, blueprint: RealizationPlan,
                 partition: SubgamePartition, *, alpha: float = 0.5,
                 beta: float = 1.0, time_limit: Optional[float] = None,
@@ -179,7 +171,8 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
         between their numbers, twin None for a representative."""
         q = quantities[sub.index]
         if q.eta is None:
-            return _skipped(game, sub, blueprint, "SkippedUnreachable")
+            return keep_blueprint(game, sub, blueprint, MilpSolution(
+                SKIPPED_UNREACHABLE, 0.0, None, 0.0, 0.0))
         model = build_constrained_milp(game, sub, q, bounds[sub.index],
                                        blueprint, context.brvs)
         print_ = fingerprint(model.problem, model.warm)
@@ -275,14 +268,22 @@ class GameSpec:
     def from_dict(raw: Mapping) -> "GameSpec":
         if not isinstance(raw, Mapping) or "family" not in raw:
             raise GameError(f"game {raw!r} needs a 'family' key")
+        family = str(raw["family"])
+        kinds = FAMILY_PARAMS.get(family, {})
         known = {"family", "label", "path"}
         params = tuple(sorted((k, v) for k, v in raw.items()
                               if k not in known))
         for key, value in params:
+            if key not in kinds:
+                raise GameError(f"game family {family!r} takes no parameter "
+                                f"{key!r}")
             if not (_is_number(value) and math.isfinite(value)):
                 raise GameError(f"game parameter {key!r} must be a finite "
                                 f"number, not {value!r}")
-        return GameSpec(family=str(raw["family"]),
+            if kinds[key] is int and value != int(value):
+                raise GameError(f"game parameter {key!r} must be an "
+                                f"integer, not {value!r}")
+        return GameSpec(family=family,
                         label=str(raw.get("label", "")),
                         path=raw.get("path"), params=params)
 
@@ -447,8 +448,7 @@ def _solve_full_game(game: GameTree, blueprint: RealizationPlan,
                               time_limit=time_limit)
     except SolverError:
         return None
-    if solution.status not in (OPTIMAL, INCUMBENT_TIME_LIMIT) or \
-            solution.assignment is None:
+    if solution.assignment is None:
         return None
     plan = extract_leader_plan(game, model, solution)
     return evaluate_leader(game, plan)

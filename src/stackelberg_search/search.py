@@ -30,7 +30,7 @@ Each subgame MILP has joint-reach and realized-value rows and no big-M.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -55,7 +55,6 @@ from stackelberg_search.response import (
 )
 from stackelberg_search.solver import (
     OPTIMAL,
-    INCUMBENT_TIME_LIMIT,
     LinearProgram,
     MilpProblem,
     MilpSolution,
@@ -742,24 +741,27 @@ def extract_leader_plan(game: GameTree, model: SubgameModel,
 # Subgame solving
 
 
-@dataclass
-class SubgameSolution:
+SKIPPED_UNREACHABLE = "SkippedUnreachable"
+WARM_START_FAILED = "WarmStartFailed"
+
+
+@dataclass(kw_only=True)
+class SubgameSolution(MilpSolution):
+    """A subgame's solve (objective: its leader full-game contribution;
+    wall_time: every attempt) plus its own facts.  A subgame with no
+    assignment (skipped, or no usable incumbent) keeps the blueprint."""
+
     index: int
-    status: str
-    objective: float                  # leader full-game contribution
     local_plan: dict[int, float]      # leader seq id -> head-normalized prob
-    used_fallback: bool
-    wall_time: float
-    bound_gap: float
-    root_bound: float = float("nan")  # MilpSolution.root_bound of the solve
-    mip_nodes: int = 0                # MilpSolution.mip_nodes of the solve
     # Size of this subgame's own model; 0 when no model was built.
     n_vars: int = 0
     n_rows: int = 0
     n_binaries: int = 0
     twin_of: Optional[int] = None     # subgame whose solution was reused
-    # The incumbent's MILP variables; None when the subgame fell back.
-    assignment: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def used_fallback(self) -> bool:
+        return self.assignment is None
 
 
 def _model_sizes(model: SubgameModel) -> dict[str, int]:
@@ -789,29 +791,30 @@ def blueprint_local_plan(game: GameTree, sub: Subgame,
     return local
 
 
+def keep_blueprint(game: GameTree, sub: Subgame, r1_bp: RealizationPlan,
+                   solution: MilpSolution, **sizes: int) -> SubgameSolution:
+    """The record of a skipped subgame, or of a solve with no assignment:
+    solution's figures, the blueprint as local plan, and sizes (the
+    model's, if one was built)."""
+    return SubgameSolution(**vars(solution), index=sub.index,
+                           local_plan=blueprint_local_plan(game, sub, r1_bp),
+                           **sizes)
+
+
 def solve_subgame(game: GameTree, model: SubgameModel,
                   r1_bp: RealizationPlan,
                   time_limit: Optional[float] = None) -> SubgameSolution:
     """Solve one subgame model; fall back to the blueprint on failure.
 
-    Failure means the solver produced no incumbent (timeout before the warm
-    start, or an infeasible warm start coupled with an unsolved model); the
-    blueprint restricted to the subgame is then returned, so search can
-    never do worse than not searching.  An incumbent that violates a row or
-    bound of its model (a head bound, say) beyond tolerance, or whose
-    objective is not the payoff of the strategy it encodes, is a solver
-    defect and raises.
+    A warm solve that raises is retried cold (WARM_START_FAILED if that
+    raises too), and wall_time counts both.  With no incumbent the record
+    keeps the blueprint (keep_blueprint), so search can never do worse than
+    not searching.  An incumbent that violates a row or bound of its model
+    (a head bound, say) beyond tolerance, or whose objective is not the
+    payoff of the strategy it encodes, is a solver defect and raises.
     """
     sub = model.subgame
     sizes = _model_sizes(model)
-
-    def fallback(status: str, wall: float) -> SubgameSolution:
-        return SubgameSolution(
-            index=sub.index, status=status, objective=float("nan"),
-            local_plan=blueprint_local_plan(game, sub, r1_bp),
-            used_fallback=True, wall_time=wall, bound_gap=float("inf"),
-            **sizes)
-
     started = time.perf_counter()
     try:
         solution = solve_milp(model.problem, warm=model.warm,
@@ -821,21 +824,16 @@ def solve_subgame(game: GameTree, model: SubgameModel,
         try:
             solution = solve_milp(model.problem, time_limit=time_limit)
         except SolverError:
-            return fallback("WarmStartFailed",
-                            time.perf_counter() - started)
-    if solution.status not in (OPTIMAL, INCUMBENT_TIME_LIMIT) or \
-            solution.assignment is None:
-        return fallback(solution.status, solution.wall_time)
+            solution = MilpSolution(WARM_START_FAILED, float("nan"), None,
+                                    float("inf"), 0.0)
+        solution.wall_time = time.perf_counter() - started
+    if solution.assignment is None:
+        return keep_blueprint(game, sub, r1_bp, solution, **sizes)
     local, defect = _read_incumbent(game, model, solution)
     if defect is not None:
         raise SolverError(f"subgame {sub.index}: {defect} (solver bug)")
-    return SubgameSolution(index=sub.index, status=solution.status,
-                           objective=solution.objective, local_plan=local,
-                           used_fallback=False, wall_time=solution.wall_time,
-                           bound_gap=solution.bound_gap,
-                           root_bound=solution.root_bound,
-                           mip_nodes=solution.mip_nodes,
-                           assignment=solution.assignment, **sizes)
+    return SubgameSolution(**vars(solution), index=sub.index,
+                           local_plan=local, **sizes)
 
 
 def reuse_solution(game: GameTree, model: SubgameModel,
@@ -846,27 +844,23 @@ def reuse_solution(game: GameTree, model: SubgameModel,
     The twin must have an assignment (a fallback has none) that passes the
     checks solve_subgame applies to a fresh incumbent: every row, column
     bound and binary of this model (solver.satisfies), then the payoff
-    recompute.  The status, root bound and node count are the twin's; the
-    gap is what separates this objective from the twin's bound,
+    recompute.  The record is the twin's, with this subgame's facts and
+    objective; the gap is what separates that from the twin's bound,
     objective + gap.
     """
     started = time.perf_counter()
-    x = twin.assignment
-    if x is None:
+    if twin.assignment is None:
         return None
-    objective = float(np.dot(model.problem.lp.objective, x))
-    gap = max(0.0, twin.objective + twin.bound_gap - objective)
-    local, defect = _read_incumbent(
-        game, model, MilpSolution(twin.status, objective, x, gap, 0.0))
+    objective = float(np.dot(model.problem.lp.objective, twin.assignment))
+    solution = replace(
+        twin, objective=objective,
+        bound_gap=max(0.0, twin.objective + twin.bound_gap - objective),
+        index=model.subgame.index, twin_of=twin.index, **_model_sizes(model))
+    solution.local_plan, defect = _read_incumbent(game, model, solution)
     if defect is not None:
         return None
-    return SubgameSolution(index=model.subgame.index, status=twin.status,
-                           objective=objective, local_plan=local,
-                           used_fallback=False,
-                           wall_time=time.perf_counter() - started,
-                           bound_gap=gap, root_bound=twin.root_bound,
-                           mip_nodes=twin.mip_nodes, twin_of=twin.index,
-                           assignment=x, **_model_sizes(model))
+    solution.wall_time = time.perf_counter() - started
+    return solution
 
 
 def _read_incumbent(game: GameTree, model: SubgameModel,

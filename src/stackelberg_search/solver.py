@@ -193,6 +193,10 @@ class MilpProblem:
 
 @dataclass
 class MilpSolution:
+    """One solve's outcome.  An assignment implies status OPTIMAL or
+    INCUMBENT_TIME_LIMIT; the converse fails: a MIP cap spent before any
+    incumbent, with no warm start, ends INCUMBENT_TIME_LIMIT with none."""
+
     status: str
     objective: float
     assignment: Optional[np.ndarray]

@@ -45,12 +45,16 @@ def _search(tmp_path, *extra):
     ("run", {**GOOD_CONFIG, "games": [{"family": "twostage", "kappa": True}]},
      "'kappa'"),
     ("run", {**GOOD_CONFIG, "subgame_time_limt": 0.5}, "subgame_time_limt"),
+    ("run", {**GOOD_CONFIG, "games": [{"family": "leduc", "N": 2}]}, "'N'"),
+    ("run", {**GOOD_CONFIG, "games": [{"family": "twostage", "n": 2.7}]},
+     "'n'"),
     ("search", ["--workers", "0"], "workers"),
     ("search", ["--time-limit-per-subgame=-1"], "time_limit_per_subgame"),
     ("search", ["--time-limit-per-subgame", "nan"], "time_limit_per_subgame"),
 ], ids=["config-not-object", "game-without-family", "alpha-string",
         "time-limit-string", "time-limit-nan", "full-game-string",
         "game-parameter-string", "game-parameter-bool", "unknown-key",
+        "game-parameter-unread", "game-parameter-fractional",
         "search-workers-0",
         "search-time-limit-negative", "search-time-limit-nan"])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, command,

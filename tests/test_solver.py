@@ -156,11 +156,34 @@ def test_milp_timeout_returns_incumbent_from_warm_start():
     assert bare.assignment is None
 
 
-def test_milp_infeasible_detected():
+def _infeasible_milp() -> MilpProblem:
     lp = LinearProgram()
     a = lp.add_var("a", 0.0, 1.0, objective=1.0)
     lp.add_constraint({a: 1.0}, ">=", 2.0)
-    assert solve_milp(MilpProblem(lp, (a,))).status == INFEASIBLE
+    return MilpProblem(lp, (a,))
+
+
+@pytest.mark.parametrize("make,warm,time_limit,status,has_assignment", [
+    (lambda: _random_milp(3), False, None, OPTIMAL, True),
+    (lambda: _random_milp(3), True, 0.0, INCUMBENT_TIME_LIMIT, True),
+    (lambda: _random_milp(3), False, 0.0, INCUMBENT_TIME_LIMIT, False),
+    (_infeasible_milp, False, None, INFEASIBLE, False),
+], ids=["optimal", "capped-warm", "capped-cold", "infeasible"])
+def test_an_assignment_implies_an_incumbent_status(make, warm, time_limit,
+                                                   status, has_assignment):
+    """An assignment comes only with OPTIMAL or INCUMBENT_TIME_LIMIT; the
+    converse fails for a spent cap with no warm start."""
+    problem = make()
+    solution = solve_milp(problem, time_limit=time_limit,
+                          warm=np.zeros(problem.lp.n_vars) if warm else None)
+    assert solution.status == status
+    assert (solution.assignment is not None) == has_assignment
+    assert solution.assignment is None or \
+        solution.status in (OPTIMAL, INCUMBENT_TIME_LIMIT)
+
+
+def test_milp_infeasible_detected():
+    assert solve_milp(_infeasible_milp()).status == INFEASIBLE
 
 
 def test_milp_rejects_unbounded_binary_declaration():

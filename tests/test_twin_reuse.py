@@ -275,7 +275,7 @@ def test_twin_of_a_fallback_is_solved_on_its_own(shared_exit, monkeypatch):
             return SubgameSolution(
                 index=0, status="WarmStartFailed", objective=float("nan"),
                 local_plan=blueprint_local_plan(game, sub, blueprint),
-                used_fallback=True, wall_time=0.0, bound_gap=float("inf"))
+                assignment=None, wall_time=0.0, bound_gap=float("inf"))
         return original(game, model, blueprint, time_limit=time_limit)
 
     monkeypatch.setattr(harness, "solve_subgame", failing_first)
@@ -324,8 +324,7 @@ def test_reuse_checks_the_twin_assignment_against_the_own_model(shared_exit):
         x[var] += shift
         bad = SubgameSolution(**{**vars(solution), "assignment": x})
         assert reuse_solution(game, second, bad) is None
-    fallback = SubgameSolution(**{**vars(solution), "used_fallback": True,
-                                  "assignment": None})
+    fallback = SubgameSolution(**{**vars(solution), "assignment": None})
     assert reuse_solution(game, second, fallback) is None
     assert np.array_equal(reused.assignment, solution.assignment)
 
