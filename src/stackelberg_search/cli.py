@@ -20,10 +20,11 @@ from stackelberg_search.efg import (
     expected_payoffs,
 )
 from stackelberg_search.gadget import transform_subgame
-from stackelberg_search.games import generate, load_game, save_game
+from stackelberg_search.games import load_game, save_game
 from stackelberg_search.harness import (
     SAFETY_TOL,
     ExperimentConfig,
+    GameSpec,
     check_run_limits,
     evaluate_leader,
     rows_to_csv,
@@ -90,12 +91,11 @@ def _partition(game: GameTree, args) -> SubgamePartition:
 
 
 def cmd_generate(args) -> int:
-    kwargs = {}
-    for key in ("n", "M", "m", "kappa", "rho", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            kwargs[key] = value
-    game = generate(args.family, **kwargs)
+    # GameSpec refuses a flag the family does not read, naming it.
+    params = {key: getattr(args, key)
+              for key in ("n", "M", "m", "kappa", "rho", "seed")
+              if getattr(args, key) is not None}
+    game = GameSpec.from_dict({"family": args.family, **params}).materialize()
     save_game(game, args.out)
     tp1, tp2 = game.treeplex(LEADER), game.treeplex(FOLLOWER)
     n_infosets = len(tp1.infoset_ids) + len(tp2.infoset_ids)
@@ -158,6 +158,7 @@ def cmd_search(args) -> int:
                 "bound_gap": _finite_or_none(solution.bound_gap),
                 "root_bound": _finite_or_none(solution.root_bound),
                 "mip_nodes": solution.mip_nodes,
+                "lp_iterations": solution.lp_iterations,
                 "n_vars": solution.n_vars,
                 "n_rows": solution.n_rows,
                 "n_binaries": solution.n_binaries,
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=("twostage", "goofspiel", "leduc", "kuhn", "fig2",
                             "fig3", "bounds-demo", "random-small"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--M", type=int, default=None)

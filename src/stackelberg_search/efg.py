@@ -353,7 +353,7 @@ class Treeplex:
     infoset_ids: list[int]                      # this player's infosets, top-down
     entry_seq: dict[int, int]                   # infoset id -> seq id of seq(I)
     infoset_actions: dict[int, tuple[int, ...]]  # infoset id -> seq ids of its actions
-    children_infosets: dict[int, list[int]]     # seq id -> infosets I with seq(I)=sigma
+    children_infosets: dict[int, tuple[int, ...]]  # seq id -> infosets I with seq(I)=sigma
     node_seq: np.ndarray                        # per game node
 
     @property
@@ -403,10 +403,9 @@ def build_treeplex(game: GameTree, player: int) -> Treeplex:
                                       entry, prefix + action))
         entry_seq[infoset] = entry
         infoset_actions[infoset] = tuple(range(first, first + len(actions)))
-    children_infosets: dict[int, list[int]] = {
-        seq: [] for seq in range(len(sequences))}
+    children_infosets = dict.fromkeys(range(len(sequences)), ())
     for entry, infoset in blocks:
-        children_infosets[entry].append(infoset)
+        children_infosets[entry] += (infoset,)
 
     return Treeplex(
         owner=player,

@@ -1,19 +1,22 @@
 """Linear programs and mixed-integer solves, both on HiGHS.
 
-Every LP goes through scipy's ``linprog``; the integer search (presolve,
-cuts, branching, node selection) is HiGHS's branch-and-cut, called through
-``scipy.optimize.milp``.  Around it this module adds warm starts as initial
-incumbents, an optimality proof at the root when the warm start already
-meets the relaxation bound (``milp`` takes no warm start), wall-clock limits
-with anytime incumbents, and binaries that come back exactly 0 or 1.  HiGHS
-is deterministic, so two runs on the same problem produce the same solution
-whenever no time limit truncates the search.
+Each problem's LPs run on one HiGHS model of it, passed to HiGHS once
+through scipy's bundled binding and solved from a cold start each time; the
+integer search (presolve, cuts, branching, node selection) is HiGHS's
+branch-and-cut, called through ``scipy.optimize.milp``.  Around it this
+module adds warm starts as initial incumbents, an optimality proof at the
+root when the warm start already meets the relaxation bound (``milp`` takes
+no warm start), wall-clock limits with anytime incumbents, and binaries that
+come back exactly 0 or 1.  HiGHS is deterministic, so two runs on the same
+problem produce the same solution whenever no time limit truncates the
+search.
 
 A LinearProgram keeps its constraints as one coordinate matrix.  A
-MilpProblem assembles it into HiGHS's two systems once; its solves and
-satisfies(), the one check an incumbent must pass, all read that assembly.
-The ``linprog`` and ``milp`` names of this module are looked up at each
-call, so patching them sees every LP and MIP.
+MilpProblem assembles it into HiGHS's two systems once, and into one HiGHS
+model on its first LP; its solves and satisfies(), the one check an
+incumbent must pass, all read that assembly.  Every LP runs through this
+module's ``linprog`` and every MIP through its ``milp``; both names are
+looked up at each call, so patching them sees every LP and MIP.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as highs
 
 FEAS_TOL = 1e-6
 GAP_TOL = 1e-6
@@ -38,9 +42,12 @@ OPTIMAL = "Optimal"
 INCUMBENT_TIME_LIMIT = "IncumbentTimeLimit"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
-# scipy.optimize.milp status codes; linprog shares 0, 2 and 3 (its 1 is an
-# iteration limit).
+# scipy.optimize.milp status codes.
 _STATUS = {0: OPTIMAL, 1: INCUMBENT_TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
+# The HiGHS model statuses an LP may end in; any other is a backend failure.
+_LP_STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
+              highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+              highs.HighsModelStatus.kUnbounded: UNBOUNDED}
 
 
 class SolverError(RuntimeError):
@@ -156,22 +163,50 @@ class MilpProblem:
             systems += [matrix, sign[in_system] * rhs[in_system]]
         return tuple(systems)
 
-    def _solve_lp(self, fixed: Optional[dict[int, float]] = None,
-                  ) -> tuple[str, Optional[tuple[float, np.ndarray]]]:
-        """The status of the relaxation with the given variables fixed, and
-        its (objective, x) when it is optimal."""
-        bounds = np.column_stack([self.lp.lower, self.lp.upper])
-        for var, value in (fixed or {}).items():
-            bounds[var] = value
+    @cached_property
+    def _highs(self) -> highs._Highs:
+        """The LP as one HiGHS model, in the form scipy's
+        linprog(method="highs") passes it: the objective negated (HiGHS
+        minimizes), the matrix csc(vstack(A_ub, A_eq)), row bounds
+        -inf..b_ub then b_eq..b_eq, and its options."""
+        lp = self.lp
         a_ub, b_ub, a_eq, b_eq = self._systems
-        res = linprog(-np.asarray(self.lp.objective),  # linprog minimizes
-                      A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
-        if res.status not in (0, 2, 3):
-            raise SolverError(f"LP backend failure: {res.message}")
-        if res.status != 0:
-            return _STATUS[res.status], None
-        return OPTIMAL, (float(-res.fun), np.array(res.x))
+        blocks = [a for a in (a_ub, a_eq) if a is not None]
+        matrix = sp.vstack(blocks).tocsc() if blocks \
+            else sp.csc_matrix((0, lp.n_vars))
+        model = highs.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
+        model.num_row_ = model.a_matrix_.num_row_ = matrix.shape[0]
+        model.col_cost_ = -np.asarray(lp.objective)
+        model.col_lower_ = np.asarray(lp.lower)
+        model.col_upper_ = np.asarray(lp.upper)
+        model.row_lower_ = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
+        model.row_upper_ = np.concatenate([b_ub, b_eq])
+        model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        model.a_matrix_.start_ = matrix.indptr
+        model.a_matrix_.index_ = matrix.indices
+        model.a_matrix_.value_ = matrix.data
+        solver = highs._Highs()
+        options = highs.HighsOptions()
+        # scipy linprog's settings.  Presolve and the dual simplex decide
+        # which optimal vertex HiGHS returns; other choices return others.
+        options.presolve = "on"
+        options.simplex_strategy = 1    # dual simplex
+        options.output_flag = options.log_to_console = False
+        if solver.passOptions(options) == highs.HighsStatus.kError or \
+                solver.passModel(model) == highs.HighsStatus.kError:
+            raise SolverError("HiGHS refused the LP")
+        return solver
+
+    def _solve_lp(self, fixed: Optional[dict[int, float]] = None,
+                  ) -> tuple[str, Optional[tuple[float, np.ndarray]], int]:
+        """The status of the relaxation with the given variables fixed, its
+        (objective, x) when it is optimal, and its simplex iterations."""
+        lower, upper = np.array(self.lp.lower), np.array(self.lp.upper)
+        if fixed:
+            columns = list(fixed)
+            lower[columns] = upper[columns] = list(fixed.values())
+        return linprog(self._highs, lower, upper)
 
     def _solve_mip(self, time_limit: Optional[float]):
         """milp with integrality on the binaries."""
@@ -202,10 +237,12 @@ class MilpSolution:
     assignment: Optional[np.ndarray]
     bound_gap: float
     wall_time: float
-    # solve_milp's LP relaxation optimum (nan when it solved none), and the
-    # number of branch-and-bound nodes HiGHS explored (0 when it ran no MIP).
+    # solve_milp's LP relaxation optimum (nan when it solved none), the
+    # number of branch-and-bound nodes HiGHS explored (0 when it ran no MIP)
+    # and the simplex iterations of the LPs it ran through linprog.
     root_bound: float = float("nan")
     mip_nodes: int = 0
+    lp_iterations: int = 0
 
     def value(self, var: int) -> float:
         if self.assignment is None:
@@ -283,37 +320,62 @@ def satisfies(problem: MilpProblem, x: np.ndarray) -> bool:
 # LP solving
 
 
+def linprog(model: highs._Highs, lower: np.ndarray, upper: np.ndarray,
+            ) -> tuple[str, Optional[tuple[float, np.ndarray]], int]:
+    """Solve a problem's HiGHS model (MilpProblem._highs) within the given
+    column bounds, from a cold start: no basis or solution of an earlier
+    run is kept.  Returns the status, (the LP's maximum, x) when optimal,
+    and the simplex iterations spent."""
+    model.changeColsBounds(len(lower), np.arange(len(lower), dtype=np.int32),
+                           lower, upper)
+    model.clearSolver()
+    ran = model.run()
+    status = _LP_STATUS.get(model.getModelStatus())
+    if ran == highs.HighsStatus.kError or status is None:
+        raise SolverError("LP backend failure: " + model.modelStatusToString(
+            model.getModelStatus()))
+    info = model.getInfo()
+    best = None
+    if status == OPTIMAL:
+        best = (float(-info.objective_function_value),
+                np.array(model.getSolution().col_value))
+    return status, best, int(info.simplex_iteration_count)
+
+
 def solve_lp(lp: LinearProgram) -> MilpSolution:
     t0 = time.perf_counter()
-    status, best = MilpProblem(lp, ())._solve_lp()
-    return _finish(status, t0, best, best[0] if best else np.inf)
+    status, best, iterations = MilpProblem(lp, ())._solve_lp()
+    return _finish(status, t0, best, best[0] if best else np.inf,
+                   lp_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
 # Mixed-integer solves
 
 
-def _fix_binaries(problem: MilpProblem,
-                  x: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
+def _fix_binaries(problem: MilpProblem, x: np.ndarray,
+                  ) -> tuple[Optional[tuple[float, np.ndarray]], int]:
     """Objective and assignment of the LP with every binary fixed at its
-    rounded value in x; None if that LP is infeasible."""
-    return problem._solve_lp({var: round(float(x[var]))
-                              for var in problem.binaries})[1]
+    rounded value in x (None if that LP is infeasible), and the LP's
+    simplex iterations."""
+    _, best, iterations = problem._solve_lp(
+        {var: round(float(x[var])) for var in problem.binaries})
+    return best, iterations
 
 
 def _finish(status: str, started: float,
             best: Optional[tuple[float, np.ndarray]] = None,
             bound: float = np.inf, root_bound: float = float("nan"),
-            mip_nodes: int = 0) -> MilpSolution:
+            mip_nodes: int = 0, lp_iterations: int = 0) -> MilpSolution:
     """The solution for an incumbent (objective, x), if any, whose value is
     bounded above by bound."""
     wall = time.perf_counter() - started
     if best is None:
         return MilpSolution(status, float("nan"), None, float("inf"), wall,
-                            root_bound, mip_nodes)
+                            root_bound, mip_nodes, lp_iterations)
     objective, x = best
     return MilpSolution(status, objective, x, max(0.0, bound - objective),
-                        wall, root_bound, mip_nodes)
+                        wall, root_bound, mip_nodes, lp_iterations)
 
 
 def solve_milp(problem: MilpProblem,
@@ -328,27 +390,31 @@ def solve_milp(problem: MilpProblem,
     LP has already proven the warm start optimal.
     """
     t0 = time.perf_counter()
-    best = None
+    best, iterations = None, 0
     if warm is not None:
-        best = _fix_binaries(problem, warm)
+        best, iterations = _fix_binaries(problem, warm)
         if best is None:
             raise SolverError("warm start is infeasible")
 
-    root_status, root = problem._solve_lp()
+    root_status, root, root_iterations = problem._solve_lp()
+    iterations += root_iterations
     if root_status != OPTIMAL:
-        return _finish(root_status, t0)
+        return _finish(root_status, t0, lp_iterations=iterations)
     root_bound = root[0]
     if best is not None and \
             root_bound - best[0] <= GAP_TOL * (1.0 + abs(best[0])):
-        return _finish(OPTIMAL, t0, best, root_bound, root_bound)
+        return _finish(OPTIMAL, t0, best, root_bound, root_bound,
+                       lp_iterations=iterations)
     time_left = None if time_limit is None \
         else time_limit - (time.perf_counter() - t0)
     if time_left is not None and time_left <= 0.0:
-        return _finish(INCUMBENT_TIME_LIMIT, t0, best, root_bound, root_bound)
+        return _finish(INCUMBENT_TIME_LIMIT, t0, best, root_bound, root_bound,
+                       lp_iterations=iterations)
 
     res = problem._solve_mip(time_left)
     if res.x is not None:
-        polished = _fix_binaries(problem, res.x)
+        polished, polish_iterations = _fix_binaries(problem, res.x)
+        iterations += polish_iterations
         if polished is None:
             raise SolverError("MIP solution is infeasible with its binaries "
                               "fixed")
@@ -359,9 +425,9 @@ def solve_milp(problem: MilpProblem,
         if res.status not in (1, 2, 3):
             raise SolverError(f"MIP backend failure: {res.message}")
         return _finish(_STATUS[res.status], t0, root_bound=root_bound,
-                       mip_nodes=nodes)
+                       mip_nodes=nodes, lp_iterations=iterations)
     bound = root_bound
     if res.status in (0, 1) and res.mip_dual_bound is not None:
         bound = min(bound, -res.mip_dual_bound)
     return _finish(OPTIMAL if res.status == 0 else INCUMBENT_TIME_LIMIT, t0,
-                   best, bound, root_bound, nodes)
+                   best, bound, root_bound, nodes, iterations)

@@ -41,6 +41,20 @@ def test_generate_passes_family_flags(tmp_path):
     assert game.metadata.get("name") == "two-stage"
 
 
+@pytest.mark.parametrize("family, flags, flag", [
+    ("leduc", ("--n", 2, "--M", 3, "--kappa", 0.5), "'M'"),
+    ("fig2", ("--n", 7), "'n'"),
+    ("kuhn", ("--seed", 1), "'seed'"),
+])
+def test_generate_refuses_a_flag_its_family_does_not_read(tmp_path, capsys,
+                                                          family, flags,
+                                                          flag):
+    out = tmp_path / "game.json"
+    assert run_cli("generate", "--family", family, *flags, "--out", out) == 2
+    assert f"takes no parameter {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_blueprint_and_evaluate(exit_demo, capsys):
     game_path, plan_path = exit_demo
     assert run_cli("evaluate", "--game", game_path,

@@ -16,13 +16,14 @@ import json
 from stackelberg_search.cli import main
 
 KEYS = ["subgame", "status", "used_fallback", "twin_of", "bound_gap",
-        "root_bound", "mip_nodes", "n_vars", "n_rows", "n_binaries",
-        "local_plan"]
+        "root_bound", "mip_nodes", "lp_iterations", "n_vars", "n_rows",
+        "n_binaries", "local_plan"]
 SOLVED = {"status": "Optimal", "used_fallback": False, "mip_nodes": 0,
           "n_vars": 312, "n_rows": 480, "n_binaries": 48}
 SKIPPED = {"status": "SkippedUnreachable", "used_fallback": True,
            "twin_of": None, "bound_gap": 0.0, "root_bound": None,
-           "mip_nodes": 0, "n_vars": 0, "n_rows": 0, "n_binaries": 0}
+           "mip_nodes": 0, "lp_iterations": 0, "n_vars": 0, "n_rows": 0,
+           "n_binaries": 0}
 # Subgame -> (twin_of, bound_gap, root_bound) of the solved and reused ones.
 SOLVES = {
     0: (None, 0.0, -0.024999999999999994),
@@ -34,10 +35,12 @@ SOLVES = {
     6: (None, 0.0, -0.0),
     7: (6, 0.0, -0.0),
 }
+# Subgame -> simplex iterations of its LPs; a twin's are its solve's.
+LP_ITERATIONS = {0: 20, 1: 20, 2: 21, 3: 21, 4: 119, 5: 119, 6: 98, 7: 98}
 N_SUBGAMES = 44
 LOCAL_PLAN_SEQS = 48
 # sha256 of every subgame file's bytes, in index order.
-DIGEST = "0644bbc8c29686dbdbfea66d814ea94d6a7accee89b5e9bf2703325ba35cb0bf"
+DIGEST = "02cb6af4258cb7af41165ecb69ef85139f0a0fdd93abe9f9321e2e765b3b61de"
 
 
 def _expected(index: int) -> dict:
@@ -45,7 +48,7 @@ def _expected(index: int) -> dict:
         return SKIPPED
     twin_of, bound_gap, root_bound = SOLVES[index]
     return {**SOLVED, "twin_of": twin_of, "bound_gap": bound_gap,
-            "root_bound": root_bound}
+            "root_bound": root_bound, "lp_iterations": LP_ITERATIONS[index]}
 
 
 def test_leduc_search_writes_the_pinned_subgame_records(tmp_path, capsys):
