@@ -62,7 +62,6 @@ class GadgetGame:
     """A transformed subgame plus the maps back to the original."""
 
     game: GameTree
-    subgame_index: int
     eta: float
     sentinel: float
     seq_map: dict[int, int]        # gadget leader seq -> original seq
@@ -218,9 +217,9 @@ def transform_subgame(game: GameTree, sub: Subgame,
                     for entry, info in group_info.items()
                     if info is not None and b.infoset_id(("aux", entry))
                     is not None}
-    return GadgetGame(game=gadget, subgame_index=sub.index,
-                      eta=quantities.eta, sentinel=sentinel, seq_map=seq_map,
-                      aux_infosets=aux_infosets, kept_initial=tuple(kept),
+    return GadgetGame(game=gadget, eta=quantities.eta, sentinel=sentinel,
+                      seq_map=seq_map, aux_infosets=aux_infosets,
+                      kept_initial=tuple(kept),
                       dropped_initial=tuple(dropped))
 
 

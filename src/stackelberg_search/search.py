@@ -308,7 +308,6 @@ class SubgameQuantities:
     index: int
     omega: dict[int, float]          # initial state -> leader*chance reach
     eta: Optional[float]             # 1 / sum(omega), None when unreachable
-    pre1: dict[int, int]             # member node -> outside leader seq
     pre2: dict[int, int]             # member node -> outside follower seq
     ctilde: dict[int, float]         # terminal -> chance * leader-bp reach
     cj: dict[int, float]             # terminal -> ctilde * follower-bp reach
@@ -323,7 +322,7 @@ def compute_subgame_quantities(game: GameTree, partition: SubgamePartition,
     reach = game.chance_reach()
     out = []
     for sub in partition:
-        pre1: dict[int, int] = {}
+        pre1: dict[int, int] = {}        # member node -> outside leader seq
         pre2: dict[int, int] = {}
         omega: dict[int, float] = {}
         for h in sub.initial:
@@ -344,8 +343,8 @@ def compute_subgame_quantities(game: GameTree, partition: SubgamePartition,
             cj[z] = ct * float(r2_bp.probs[pre2[z]])
         total_omega = sum(omega.values())
         eta = (1.0 / total_omega) if total_omega > 0.0 else None
-        out.append(SubgameQuantities(sub.index, omega, eta,
-                                     pre1, pre2, ctilde, cj))
+        out.append(SubgameQuantities(sub.index, omega, eta, pre2, ctilde,
+                                     cj))
     return out
 
 
@@ -362,13 +361,11 @@ class BoundsMap:
     """
 
     bounds: dict[int, tuple[str, float]]
-    alpha: float
-    beta: float
 
 
-# An empty bound dictionary leaves every follower-value column free, so the
-# slack parameters of this placeholder never matter.
-NO_BOUNDS = BoundsMap({}, 0.5, 1.0)
+# No head bound at all; transform_subgame tells it from a subgame's own
+# empty map by identity.
+NO_BOUNDS = BoundsMap({})
 
 
 @dataclass
@@ -394,14 +391,14 @@ def compute_bounds(game: GameTree, brvs: BrvTable, trunk: Trunk,
     """
     if not 0.0 <= alpha <= 1.0:
         raise GameError("alpha must lie in [0, 1]")
-    if beta < 1.0:
+    if not beta >= 1.0:
         raise GameError("beta must be >= 1")
     tp2 = game.treeplex(FOLLOWER)
     head_owner: dict[int, int] = {}
     for sub in partition:
         for infoset in sub.heads[FOLLOWER]:
             head_owner[infoset] = sub.index
-    result = {sub.index: BoundsMap({}, alpha, beta) for sub in partition}
+    result = {sub.index: BoundsMap({}) for sub in partition}
     trace = BoundsTrace()
 
     def branch_bound(infoset: int, lb: float) -> float:
@@ -706,7 +703,7 @@ def whole_game_subgame(game: GameTree) -> tuple[Subgame, SubgameQuantities]:
     ctilde = {z: float(reach[z]) for z in terminals}
     quantities = SubgameQuantities(
         index=0, omega={game.root: 1.0}, eta=1.0,
-        pre1={n: 0 for n in sub.nodes}, pre2={n: 0 for n in sub.nodes},
+        pre2={n: 0 for n in sub.nodes},
         ctilde=ctilde, cj=dict(ctilde))
     return sub, quantities
 

@@ -1,22 +1,21 @@
 """Linear programs and mixed-integer solves, both on HiGHS.
 
-Each problem's LPs run on one HiGHS model of it, passed to HiGHS once
-through scipy's bundled binding and solved from a cold start each time; the
-integer search (presolve, cuts, branching, node selection) is HiGHS's
-branch-and-cut, called through ``scipy.optimize.milp``.  Around it this
-module adds warm starts as initial incumbents, an optimality proof at the
-root when the warm start already meets the relaxation bound (``milp`` takes
-no warm start), wall-clock limits with anytime incumbents, and binaries that
-come back exactly 0 or 1.  HiGHS is deterministic, so two runs on the same
-problem produce the same solution whenever no time limit truncates the
-search.
+Each problem is passed to HiGHS once, as one model built through scipy's
+bundled binding, and every solve of it runs on that model from a cold
+start: each LP, and each MIP, which is HiGHS's branch-and-cut with the
+binaries made integer for that one run.  Around it this module adds warm
+starts as initial incumbents, an optimality proof at the root when the warm
+start already meets the relaxation bound, wall-clock limits with anytime
+incumbents, and binaries that come back exactly 0 or 1.  HiGHS is
+deterministic, so two runs on the same problem produce the same solution
+whenever no time limit truncates the search.
 
 A LinearProgram keeps its constraints as one coordinate matrix.  A
-MilpProblem assembles it into HiGHS's two systems once, and into one HiGHS
-model on its first LP; its solves and satisfies(), the one check an
-incumbent must pass, all read that assembly.  Every LP runs through this
-module's ``linprog`` and every MIP through its ``milp``; both names are
-looked up at each call, so patching them sees every LP and MIP.
+MilpProblem assembles them once into HiGHS's rows, lower <= A x <= upper,
+which its model, its solves and satisfies() (the one check an incumbent
+must pass) all read.  Every LP runs through this module's ``linprog`` and
+every MIP through its ``milp``; both names are looked up at each call, so
+patching them sees every LP and MIP.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core as highs
 
 FEAS_TOL = 1e-6
@@ -42,12 +40,12 @@ OPTIMAL = "Optimal"
 INCUMBENT_TIME_LIMIT = "IncumbentTimeLimit"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
-# scipy.optimize.milp status codes.
-_STATUS = {0: OPTIMAL, 1: INCUMBENT_TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
-# The HiGHS model statuses an LP may end in; any other is a backend failure.
-_LP_STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
-              highs.HighsModelStatus.kInfeasible: INFEASIBLE,
-              highs.HighsModelStatus.kUnbounded: UNBOUNDED}
+# The HiGHS model statuses a run may end in; any other is a backend failure.
+# Only a MIP has a time limit; it may stop there with or without incumbent.
+_STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
+           highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+           highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+           highs.HighsModelStatus.kTimeLimit: INCUMBENT_TIME_LIMIT}
 
 
 class SolverError(RuntimeError):
@@ -119,11 +117,12 @@ class LinearProgram:
 class MilpProblem:
     """An LP whose listed variables must be 0 or 1, assembled for HiGHS.
 
-    The two constraint systems HiGHS takes, A_ub x <= b_ub (">=" rows
-    negated) and A_eq x == b_eq, are built from the LP's coordinate matrix
-    on first use and kept, in the LP's row order; every LP and MIP solve of
-    the problem and every satisfies() check reads that one assembly.  So
-    the LP must not change once a MilpProblem wraps it: wrap a changed copy
+    The constraints in HiGHS's row form, lower <= A x <= upper, are built
+    from the LP's coordinate matrix on first use and kept: first the "<="
+    and ">=" rows in the LP's order (">=" rows negated, lower -inf), then
+    the "==" rows (lower = upper = rhs).  Every LP and MIP solve of the
+    problem and every satisfies() check reads that one assembly.  So the LP
+    must not change once a MilpProblem wraps it: wrap a changed copy
     (dataclasses.replace) in a new MilpProblem instead.
     """
 
@@ -138,8 +137,8 @@ class MilpProblem:
                     f"binary variable {self.lp.names[var]} lacks [0,1] bounds")
 
     @cached_property
-    def _systems(self):
-        """(A_ub, b_ub, A_eq, b_eq); a matrix is None when it has no row."""
+    def _rows(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """(A, lower, upper), A a CSR matrix."""
         lp = self.lp
         row = np.asarray(lp.row, dtype=np.intp)
         coef = np.asarray(lp.coef, dtype=np.float64)
@@ -147,41 +146,30 @@ class MilpProblem:
         if bad.size:
             raise SolverError(f"constraint {lp.row_names[row[bad[0]]]!r}: "
                               f"non-finite coefficient")
-        col = np.asarray(lp.col, dtype=np.intp)
         relation = np.asarray(lp.relation, dtype="U2")
         sign = np.where(relation == ">=", -1.0, 1.0)
-        rhs = np.asarray(lp.rhs, dtype=np.float64)
-        systems = []
-        for in_system in (relation != "==", relation == "=="):
-            number = np.cumsum(in_system) - 1  # row id within the system
-            entries = in_system[row]
-            n_rows = int(in_system.sum())
-            matrix = sp.csr_matrix(
-                (sign[row[entries]] * coef[entries],
-                 (number[row[entries]], col[entries])),
-                shape=(n_rows, lp.n_vars)) if n_rows else None
-            systems += [matrix, sign[in_system] * rhs[in_system]]
-        return tuple(systems)
+        order = np.argsort(relation == "==", kind="stable")
+        position = np.argsort(order)    # each LP row's place in A
+        matrix = sp.csr_matrix(
+            (sign[row] * coef, (position[row], np.asarray(lp.col, np.intp))),
+            shape=(len(order), lp.n_vars))
+        upper = (sign * np.asarray(lp.rhs, dtype=np.float64))[order]
+        lower = np.where(relation[order] == "==", upper, -np.inf)
+        return matrix, lower, upper
 
     @cached_property
     def _highs(self) -> highs._Highs:
-        """The LP as one HiGHS model, in the form scipy's
-        linprog(method="highs") passes it: the objective negated (HiGHS
-        minimizes), the matrix csc(vstack(A_ub, A_eq)), row bounds
-        -inf..b_ub then b_eq..b_eq, and its options."""
+        """The LP as one HiGHS model: the objective negated (HiGHS
+        minimizes), the matrix in CSC form, and its options."""
         lp = self.lp
-        a_ub, b_ub, a_eq, b_eq = self._systems
-        blocks = [a for a in (a_ub, a_eq) if a is not None]
-        matrix = sp.vstack(blocks).tocsc() if blocks \
-            else sp.csc_matrix((0, lp.n_vars))
         model = highs.HighsLp()
+        matrix, model.row_lower_, model.row_upper_ = self._rows
+        matrix = matrix.tocsc()
         model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
         model.num_row_ = model.a_matrix_.num_row_ = matrix.shape[0]
         model.col_cost_ = -np.asarray(lp.objective)
         model.col_lower_ = np.asarray(lp.lower)
         model.col_upper_ = np.asarray(lp.upper)
-        model.row_lower_ = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
-        model.row_upper_ = np.concatenate([b_ub, b_eq])
         model.a_matrix_.format_ = highs.MatrixFormat.kColwise
         model.a_matrix_.start_ = matrix.indptr
         model.a_matrix_.index_ = matrix.indices
@@ -192,38 +180,23 @@ class MilpProblem:
         # which optimal vertex HiGHS returns; other choices return others.
         options.presolve = "on"
         options.simplex_strategy = 1    # dual simplex
+        options.mip_rel_gap = GAP_TOL
         options.output_flag = options.log_to_console = False
         if solver.passOptions(options) == highs.HighsStatus.kError or \
                 solver.passModel(model) == highs.HighsStatus.kError:
             raise SolverError("HiGHS refused the LP")
         return solver
 
-    def _solve_lp(self, fixed: Optional[dict[int, float]] = None,
+    def _solve_lp(self, pattern: Optional[np.ndarray] = None,
                   ) -> tuple[str, Optional[tuple[float, np.ndarray]], int]:
-        """The status of the relaxation with the given variables fixed, its
-        (objective, x) when it is optimal, and its simplex iterations."""
+        """The status of the relaxation, with every binary fixed at its
+        rounded value in pattern if one is given; its (objective, x) when
+        it is optimal; and its simplex iterations."""
         lower, upper = np.array(self.lp.lower), np.array(self.lp.upper)
-        if fixed:
-            columns = list(fixed)
-            lower[columns] = upper[columns] = list(fixed.values())
+        if pattern is not None:
+            for var in self.binaries:
+                lower[var] = upper[var] = round(float(pattern[var]))
         return linprog(self._highs, lower, upper)
-
-    def _solve_mip(self, time_limit: Optional[float]):
-        """milp with integrality on the binaries."""
-        a_ub, b_ub, a_eq, b_eq = self._systems
-        integrality = np.zeros(self.lp.n_vars)
-        integrality[list(self.binaries)] = 1
-        constraints = []
-        if a_ub is not None:
-            constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
-        if a_eq is not None:
-            constraints.append(LinearConstraint(a_eq, b_eq, b_eq))
-        options = {"mip_rel_gap": GAP_TOL}
-        if time_limit is not None:
-            options["time_limit"] = time_limit
-        return milp(-np.asarray(self.lp.objective), integrality=integrality,
-                    bounds=Bounds(self.lp.lower, self.lp.upper),
-                    constraints=constraints, options=options)
 
 
 @dataclass
@@ -310,28 +283,34 @@ def satisfies(problem: MilpProblem, x: np.ndarray) -> bool:
     binary = x[list(problem.binaries)]
     if not np.all((binary == 0.0) | (binary == 1.0)):
         return False
-    a_ub, b_ub, a_eq, b_eq = problem._systems
-    if a_ub is not None and np.any(a_ub @ x > b_ub + FEAS_TOL):
-        return False
-    return a_eq is None or bool(np.all(np.abs(a_eq @ x - b_eq) <= FEAS_TOL))
+    matrix, lower, upper = problem._rows
+    ax = matrix @ x
+    return bool(np.all((ax >= lower - FEAS_TOL) & (ax <= upper + FEAS_TOL)))
 
 
 # ---------------------------------------------------------------------------
-# LP solving
+# Solves, each a run on a problem's HiGHS model
+
+
+def _run(model: highs._Highs, lower: np.ndarray, upper: np.ndarray,
+         ) -> Optional[str]:
+    """Run a problem's HiGHS model (MilpProblem._highs) within the given
+    column bounds, from a cold start: no basis or solution of an earlier
+    run is kept.  Returns the status, None if it is none of this module's."""
+    model.changeColsBounds(len(lower), np.arange(len(lower), dtype=np.int32),
+                           lower, upper)
+    model.clearSolver()
+    if model.run() == highs.HighsStatus.kError:
+        return None
+    return _STATUS.get(model.getModelStatus())
 
 
 def linprog(model: highs._Highs, lower: np.ndarray, upper: np.ndarray,
             ) -> tuple[str, Optional[tuple[float, np.ndarray]], int]:
-    """Solve a problem's HiGHS model (MilpProblem._highs) within the given
-    column bounds, from a cold start: no basis or solution of an earlier
-    run is kept.  Returns the status, (the LP's maximum, x) when optimal,
-    and the simplex iterations spent."""
-    model.changeColsBounds(len(lower), np.arange(len(lower), dtype=np.int32),
-                           lower, upper)
-    model.clearSolver()
-    ran = model.run()
-    status = _LP_STATUS.get(model.getModelStatus())
-    if ran == highs.HighsStatus.kError or status is None:
+    """Solve the model as an LP (see _run).  Returns the status, (the LP's
+    maximum, x) when optimal, and the simplex iterations spent."""
+    status = _run(model, lower, upper)
+    if status not in (OPTIMAL, INFEASIBLE, UNBOUNDED):
         raise SolverError("LP backend failure: " + model.modelStatusToString(
             model.getModelStatus()))
     info = model.getInfo()
@@ -342,25 +321,45 @@ def linprog(model: highs._Highs, lower: np.ndarray, upper: np.ndarray,
     return status, best, int(info.simplex_iteration_count)
 
 
+def milp(model: highs._Highs, lower: np.ndarray, upper: np.ndarray,
+         binaries: tuple[int, ...], time_limit: Optional[float] = None,
+         ) -> tuple[str, Optional[np.ndarray], float, int]:
+    """Solve the model (see _run) with the binaries integer, for at most
+    time_limit seconds.  Returns the status (HiGHS's own description when
+    it is none of this module's), the incumbent x if HiGHS has one, the
+    dual bound on the maximum and the branch-and-bound nodes explored.
+    The model is left an LP with no time limit, as linprog expects it."""
+    columns = np.asarray(binaries, dtype=np.int32)
+    try:
+        _retype(model, columns, highs.HighsVarType.kInteger, time_limit)
+        status = _run(model, lower, upper) or \
+            model.modelStatusToString(model.getModelStatus())
+        info = model.getInfo()
+        found = status in (OPTIMAL, INCUMBENT_TIME_LIMIT) and \
+            info.primal_solution_status == highs.kSolutionStatusFeasible
+        x = np.array(model.getSolution().col_value) if found else None
+        return status, x, -info.mip_dual_bound, info.mip_node_count
+    finally:
+        _retype(model, columns, highs.HighsVarType.kContinuous, None)
+
+
+def _retype(model: highs._Highs, columns: np.ndarray,
+            kind: highs.HighsVarType, time_limit: Optional[float]) -> None:
+    """Make the columns of the given kind and set the time limit."""
+    if highs.HighsStatus.kError in (
+            model.changeColsIntegrality(
+                len(columns), columns,
+                np.full(len(columns), int(kind), dtype=np.uint8)),
+            model.setOptionValue("time_limit", np.inf if time_limit is None
+                                 else float(time_limit))):
+        raise SolverError("HiGHS refused an integrality or a time limit")
+
+
 def solve_lp(lp: LinearProgram) -> MilpSolution:
     t0 = time.perf_counter()
     status, best, iterations = MilpProblem(lp, ())._solve_lp()
     return _finish(status, t0, best, best[0] if best else np.inf,
                    lp_iterations=iterations)
-
-
-# ---------------------------------------------------------------------------
-# Mixed-integer solves
-
-
-def _fix_binaries(problem: MilpProblem, x: np.ndarray,
-                  ) -> tuple[Optional[tuple[float, np.ndarray]], int]:
-    """Objective and assignment of the LP with every binary fixed at its
-    rounded value in x (None if that LP is infeasible), and the LP's
-    simplex iterations."""
-    _, best, iterations = problem._solve_lp(
-        {var: round(float(x[var])) for var in problem.binaries})
-    return best, iterations
 
 
 def _finish(status: str, started: float,
@@ -392,7 +391,7 @@ def solve_milp(problem: MilpProblem,
     t0 = time.perf_counter()
     best, iterations = None, 0
     if warm is not None:
-        best, iterations = _fix_binaries(problem, warm)
+        _, best, iterations = problem._solve_lp(warm)
         if best is None:
             raise SolverError("warm start is infeasible")
 
@@ -411,23 +410,24 @@ def solve_milp(problem: MilpProblem,
         return _finish(INCUMBENT_TIME_LIMIT, t0, best, root_bound, root_bound,
                        lp_iterations=iterations)
 
-    res = problem._solve_mip(time_left)
-    if res.x is not None:
-        polished, polish_iterations = _fix_binaries(problem, res.x)
+    status, x, dual_bound, nodes = milp(
+        problem._highs, np.asarray(problem.lp.lower),
+        np.asarray(problem.lp.upper), problem.binaries, time_limit=time_left)
+    if x is not None:
+        _, polished, polish_iterations = problem._solve_lp(x)
         iterations += polish_iterations
         if polished is None:
             raise SolverError("MIP solution is infeasible with its binaries "
                               "fixed")
         if best is None or polished[0] > best[0]:
             best = polished
-    nodes = int(res.mip_node_count or 0)
     if best is None:
-        if res.status not in (1, 2, 3):
-            raise SolverError(f"MIP backend failure: {res.message}")
-        return _finish(_STATUS[res.status], t0, root_bound=root_bound,
-                       mip_nodes=nodes, lp_iterations=iterations)
+        if status not in (INCUMBENT_TIME_LIMIT, INFEASIBLE, UNBOUNDED):
+            raise SolverError(f"MIP backend failure: {status}")
+        return _finish(status, t0, root_bound=root_bound, mip_nodes=nodes,
+                       lp_iterations=iterations)
     bound = root_bound
-    if res.status in (0, 1) and res.mip_dual_bound is not None:
-        bound = min(bound, -res.mip_dual_bound)
-    return _finish(OPTIMAL if res.status == 0 else INCUMBENT_TIME_LIMIT, t0,
+    if status in (OPTIMAL, INCUMBENT_TIME_LIMIT):
+        bound = min(bound, dual_bound)
+    return _finish(OPTIMAL if status == OPTIMAL else INCUMBENT_TIME_LIMIT, t0,
                    best, bound, root_bound, nodes, iterations)

@@ -49,8 +49,7 @@ def test_model_is_the_same_whatever_the_bounds_map_order():
     sub = partition.subgames[0]
     bounds = context.bounds[sub.index]
     assert len(bounds.bounds) == 10
-    reversed_bounds = BoundsMap(dict(reversed(bounds.bounds.items())),
-                                bounds.alpha, bounds.beta)
+    reversed_bounds = BoundsMap(dict(reversed(bounds.bounds.items())))
     first, second = (
         build_constrained_milp(game, sub, context.quantities[sub.index], b,
                                blueprint, context.brvs)

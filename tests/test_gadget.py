@@ -114,7 +114,7 @@ def test_gadget_local_plan_matches_constrained():
 def test_unbounded_gadget_on_whole_game_is_plain_commitment():
     for game in (kuhn_game(), random_small_game(0), random_small_game(3)):
         sub, quantities = whole_game_subgame(game)
-        empty = BoundsMap({}, 0.5, 1.0)
+        empty = BoundsMap({})
         via = solve_via_gadget(game, sub, quantities, empty)
         oracle_value, _ = sse_oracle(game)
         assert via.value == pytest.approx(oracle_value, abs=1e-6)
@@ -126,7 +126,7 @@ def test_transform_rejects_unreachable_subgame():
     sub = partition.subgames[0]
     unreachable = SubgameQuantities(
         index=0, omega={3: 0.0}, eta=None,
-        pre1=quantities[0].pre1, pre2=quantities[0].pre2,
+        pre2=quantities[0].pre2,
         ctilde={5: 0.0, 6: 0.0}, cj={5: 0.0, 6: 0.0})
     with pytest.raises(GameError, match="never enters"):
         transform_subgame(game, sub, unreachable, bounds[0])
@@ -140,7 +140,6 @@ def test_transform_drops_zero_reach_initial_states():
         index=0,
         omega={5: 0.25, 7: 0.25, 9: 0.0},
         eta=2.0,
-        pre1=quantities[0].pre1,
         pre2=quantities[0].pre2,
         ctilde=quantities[0].ctilde,
         cj=quantities[0].cj)

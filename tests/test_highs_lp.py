@@ -1,13 +1,14 @@
 """The LP seam, ``solver.linprog``, against scipy.
 
-Every LP of a problem runs on one HiGHS model of it, passed once through
-scipy's private binding ``scipy.optimize._highspy._core``, which ships with
-the methods used here from scipy 1.17 (pyproject.toml's floor).
+Every LP and MIP of a problem runs on one HiGHS model of it, passed once
+through scipy's private binding ``scipy.optimize._highspy._core``, which
+ships with the methods used here from scipy 1.17 (pyproject.toml's floor).
+test_highs_milp.py checks the MIP seam the same way.
 
 * The binding has every method and field solver.py uses; there is no
   fallback path, so a scipy without them must fail here, loudly.
 * The seam returns the vertex scipy's public ``linprog(method="highs")``
-  returns on the same two systems, bit for bit: on every reachable Leduc
+  returns on the same rows, bit for bit: on every reachable Leduc
   n=2 subgame model (its root LP and its warm start's fixed-binary LP,
   several on one model) and on Goofspiel n=4's zero-sum blueprint LP.
   scipy stays the oracle, as in test_subgame_oracle.py.
@@ -46,16 +47,19 @@ from stackelberg_search.solver import (
 SCIPY_FLOOR = "scipy>=1.17"
 # What solver.py reads of the binding.
 HIGHS_METHODS = ("passOptions", "passModel", "changeColsBounds",
-                 "clearSolver", "run", "getModelStatus",
-                 "modelStatusToString", "getInfo", "getSolution")
+                 "changeColsIntegrality", "setOptionValue", "clearSolver",
+                 "run", "getModelStatus", "modelStatusToString", "getInfo",
+                 "getSolution")
 FIELDS = {
     highs.HighsLp: ("num_col_", "num_row_", "col_cost_", "col_lower_",
                     "col_upper_", "row_lower_", "row_upper_", "a_matrix_"),
     highs.HighsSparseMatrix: ("num_col_", "num_row_", "format_", "start_",
                               "index_", "value_"),
-    highs.HighsOptions: ("presolve", "simplex_strategy", "output_flag",
-                         "log_to_console"),
-    highs.HighsInfo: ("objective_function_value", "simplex_iteration_count"),
+    highs.HighsOptions: ("presolve", "simplex_strategy", "mip_rel_gap",
+                         "output_flag", "log_to_console"),
+    highs.HighsInfo: ("objective_function_value", "simplex_iteration_count",
+                      "mip_dual_bound", "mip_node_count",
+                      "primal_solution_status"),
     highs.HighsSolution: ("col_value",),
 }
 
@@ -70,17 +74,23 @@ def test_the_binding_has_everything_the_solver_calls():
                 if not hasattr(kind, name)]
     assert missing == [], f"scipy's HiGHS binding lacks {missing}; " \
                           f"solver.py needs {SCIPY_FLOOR}"
-    for status in ("kOptimal", "kInfeasible", "kUnbounded"):
+    for status in ("kOptimal", "kInfeasible", "kUnbounded", "kTimeLimit"):
         assert hasattr(highs.HighsModelStatus, status)
+    for kind in ("kContinuous", "kInteger"):
+        assert hasattr(highs.HighsVarType, kind)
     assert hasattr(highs.MatrixFormat, "kColwise")
     assert hasattr(highs.HighsStatus, "kError")
+    assert hasattr(highs, "kSolutionStatusFeasible")
 
 
 def _scipy_lp(problem: MilpProblem, lower, upper):
-    """(objective, x) of scipy's linprog on the problem's two systems."""
-    a_ub, b_ub, a_eq, b_eq = problem._systems
-    res = linprog(-np.asarray(problem.lp.objective), A_ub=a_ub, b_ub=b_ub,
-                  A_eq=a_eq, b_eq=b_eq,
+    """(objective, x) of scipy's linprog on the problem's rows, split into
+    linprog's two systems on a finite row lower bound."""
+    matrix, row_lower, row_upper = problem._rows
+    equal = np.isfinite(row_lower)
+    res = linprog(-np.asarray(problem.lp.objective), A_ub=matrix[~equal],
+                  b_ub=row_upper[~equal], A_eq=matrix[equal],
+                  b_eq=row_upper[equal],
                   bounds=np.column_stack([lower, upper]), method="highs")
     assert res.status == 0, res.message
     return -res.fun, res.x

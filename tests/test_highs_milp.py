@@ -7,12 +7,18 @@
   its warm start, a gap that covers the true optimum, and stops near the
   limit.
 * Binaries in a returned assignment are exactly 0.0 or 1.0.
+* The MIP seam, ``solver.milp``, runs on the problem's one HiGHS model and
+  returns what scipy's public ``milp`` returns on the same rows, bit for
+  bit; scipy stays the oracle, as for LPs in test_highs_lp.py.  An LP run
+  after a MIP on that model is the LP a fresh model runs, and a cap on a
+  model that has already run LPs still holds.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from stackelberg_search import solver
 from stackelberg_search.blueprint import make_blueprint
@@ -72,7 +78,7 @@ def milp_calls(monkeypatch):
     original = solver.milp
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("options"))
+        calls.append(kwargs)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(solver, "milp", counting)
@@ -182,3 +188,65 @@ def test_returned_binaries_are_exactly_zero_or_one(request, family, index,
     cold = solve_milp(model.problem, time_limit=time_limit or 5.0)
     if cold.assignment is not None:
         _assert_exact_binaries(model.problem, cold)
+
+
+def _scipy_milp(problem):
+    """scipy's milp on the problem's rows, as one LinearConstraint."""
+    matrix, lower, upper = problem._rows
+    integrality = np.zeros(problem.lp.n_vars)
+    integrality[list(problem.binaries)] = 1
+    return milp(-np.asarray(problem.lp.objective), integrality=integrality,
+                bounds=Bounds(problem.lp.lower, problem.lp.upper),
+                constraints=LinearConstraint(matrix, lower, upper),
+                options={"mip_rel_gap": solver.GAP_TOL})
+
+
+@pytest.mark.parametrize("index,nodes", [(22, 4), (43, 1), (60, 8)])
+def test_mip_seam_matches_scipy_milp_bit_for_bit(goofspiel, index, nodes):
+    problem = goofspiel(index).problem
+    status, x, dual_bound, mip_nodes = solver.milp(
+        problem._highs, np.asarray(problem.lp.lower),
+        np.asarray(problem.lp.upper), problem.binaries)
+    info = problem._highs.getInfo()
+    assert problem._highs.getOptionValue("mip_rel_gap")[1] == solver.GAP_TOL
+    expected = _scipy_milp(problem)
+    assert (status, expected.status) == (OPTIMAL, 0)
+    assert x.tobytes() == expected.x.tobytes()
+    assert np.float64(info.objective_function_value).tobytes() == \
+        np.float64(expected.fun).tobytes()
+    assert np.float64(-dual_bound).tobytes() == \
+        np.float64(expected.mip_dual_bound).tobytes()
+    assert mip_nodes == expected.mip_node_count == nodes
+
+
+def test_an_lp_after_a_mip_is_a_fresh_models_lp(goofspiel):
+    problem = goofspiel(22).problem
+    lower = np.asarray(problem.lp.lower)
+    upper = np.asarray(problem.lp.upper)
+    solver.milp(problem._highs, lower, upper, problem.binaries,
+                time_limit=30.0)
+    assert problem._highs.getOptionValue("time_limit")[1] == np.inf
+    status, (objective, x), iterations = solver.linprog(problem._highs,
+                                                        lower, upper)
+    fresh = MilpProblem(problem.lp, problem.binaries)
+    expected_status, (expected_objective, expected_x), expected_iterations \
+        = solver.linprog(fresh._highs, lower, upper)
+    assert status == expected_status == OPTIMAL
+    assert x.tobytes() == expected_x.tobytes()
+    assert objective == expected_objective
+    assert iterations == expected_iterations
+
+
+def test_a_cap_holds_on_a_model_that_has_run_lps(leduc_uniform, milp_calls):
+    """HiGHS's time limit counts one run, not the model's life."""
+    model = leduc_uniform(30)
+    problem = model.problem
+    lower = np.asarray(problem.lp.lower)
+    upper = np.asarray(problem.lp.upper)
+    for _ in range(20):
+        assert solver.linprog(problem._highs, lower, upper)[0] == OPTIMAL
+    cap = 0.5
+    capped = solve_milp(problem, warm=model.warm, time_limit=cap)
+    assert capped.status == INCUMBENT_TIME_LIMIT
+    assert len(milp_calls) == 1
+    assert capped.wall_time <= cap + 1.0

@@ -51,12 +51,14 @@ def _search(tmp_path, *extra):
     ("search", ["--workers", "0"], "workers"),
     ("search", ["--time-limit-per-subgame=-1"], "time_limit_per_subgame"),
     ("search", ["--time-limit-per-subgame", "nan"], "time_limit_per_subgame"),
+    ("search", ["--beta", "nan"], "beta"),
 ], ids=["config-not-object", "game-without-family", "alpha-string",
         "time-limit-string", "time-limit-nan", "full-game-string",
         "game-parameter-string", "game-parameter-bool", "unknown-key",
         "game-parameter-unread", "game-parameter-fractional",
         "search-workers-0",
-        "search-time-limit-negative", "search-time-limit-nan"])
+        "search-time-limit-negative", "search-time-limit-nan",
+        "search-beta-nan"])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, command,
                                                 given, key):
     argv = _run(tmp_path, given) if command == "run" \

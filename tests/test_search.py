@@ -335,6 +335,8 @@ def test_bounds_parameter_validation():
         pipeline(game, alpha=-0.1)
     with pytest.raises(GameError, match="beta"):
         pipeline(game, beta=0.5)
+    with pytest.raises(GameError, match="beta"):
+        pipeline(game, beta=float("nan"))
 
 
 def test_bounds_directions_match_trunk_on_random_games():
@@ -508,7 +510,7 @@ def test_solve_subgame_falls_back_on_infeasible_model():
     game = two_subgame_exit_game()
     r1, r2, brvs, trunk, partition, quantities, bounds, _ = pipeline(game)
     sub = partition.subgames[0]
-    impossible = BoundsMap({1: (LOWER, 10.0)}, 0.5, 1.0)
+    impossible = BoundsMap({1: (LOWER, 10.0)})
     model = build_constrained_milp(game, sub, quantities[0], impossible,
                                    r1, brvs)
     sol = solve_subgame(game, model, r1)
