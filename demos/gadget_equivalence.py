@@ -46,7 +46,7 @@ def main():
                   f"(bound budget)")
 
         model = build_constrained_milp(game, sub, q, bounds[sub.index],
-                                       blueprint, context.brvs)
+                                       context.brvs)
         direct = solve_subgame(game, model, blueprint)
         via = solve_via_gadget(game, sub, q, bounds[sub.index])
         print(f"directly bounded program value: {direct.objective:.6f}")

@@ -59,11 +59,10 @@ def save_plan(plan: RealizationPlan, path: str) -> None:
         handle.write(plan_to_json(plan))
 
 
-def load_plan(game: GameTree, path: str, player: int = LEADER,
-              ) -> RealizationPlan:
+def load_plan(game: GameTree, path: str) -> RealizationPlan:
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
-    tp = game.treeplex(player)
+    tp = game.treeplex(LEADER)
     if not isinstance(raw, dict):
         raise GameError(f"plan file {path}: not a JSON object")
     probs = np.zeros(tp.n_sequences)
@@ -73,7 +72,7 @@ def load_plan(game: GameTree, path: str, player: int = LEADER,
             raise GameError(f"plan file {path}: bad entry {key!r}: {value!r} "
                             f"(sequence ids are 0..{tp.n_sequences - 1})")
         probs[int(key)] = value
-    plan = RealizationPlan(player, probs)
+    plan = RealizationPlan(LEADER, probs)
     plan.check_flow(tp)
     return plan
 

@@ -30,6 +30,7 @@ from stackelberg_search.efg import (
     GameError,
     GameTree,
     TreeBuilder,
+    uniform_plan,
 )
 from stackelberg_search.response import NEG_INF
 from stackelberg_search.search import (
@@ -40,9 +41,9 @@ from stackelberg_search.search import (
     Subgame,
     SubgameQuantities,
     build_full_milp,
-    extract_leader_plan,
+    solve_subgame,
 )
-from stackelberg_search.solver import SolverError, solve_milp
+from stackelberg_search.solver import SolverError
 
 SENTINEL_SCALE = 1e6
 
@@ -104,6 +105,7 @@ def transform_subgame(game: GameTree, sub: Subgame,
     initial_set = set(sub.initial)
     kept_set = set(kept)
     groups = group_heads(game, sub)
+    tp2 = game.treeplex(FOLLOWER)
 
     def initial_ancestor(nid: int) -> int:
         while nid not in initial_set:
@@ -117,7 +119,7 @@ def transform_subgame(game: GameTree, sub: Subgame,
         for infoset in heads:
             for member in game.infoset(infoset).members:
                 h = initial_ancestor(member)
-                if quantities.pre2[h] != entry:
+                if tp2.node_seq[h] != entry:
                     raise GameError(
                         f"subgame {sub.index}: head infoset {infoset} entry "
                         f"disagrees with its initial state {h}")
@@ -152,7 +154,7 @@ def transform_subgame(game: GameTree, sub: Subgame,
 
     def follower_entry_factor(h: int) -> float:
         for z in sub.terminals:
-            if quantities.pre2[z] == quantities.pre2[h] and \
+            if tp2.node_seq[initial_ancestor(z)] == tp2.node_seq[h] and \
                     quantities.ctilde[z] > 0.0:
                 return quantities.cj[z] / quantities.ctilde[z]
         return 1.0
@@ -239,9 +241,9 @@ def solve_via_gadget(game: GameTree, sub: Subgame,
     bounded-refinement program, so the two agree to solver tolerance.
     """
     gg = transform_subgame(game, sub, quantities, bounds)
-    model = build_full_milp(gg.game)
-    solution = solve_milp(model.problem, warm=model.warm)
-    if solution.assignment is None:
+    r1 = uniform_plan(gg.game, LEADER)
+    solution = solve_subgame(gg.game, build_full_milp(gg.game, r1), r1)
+    if solution.used_fallback:
         raise SolverError(
             f"gadget for subgame {sub.index}: solver returned "
             f"{solution.status}")
@@ -250,7 +252,6 @@ def solve_via_gadget(game: GameTree, sub: Subgame,
         raise SolverError(
             f"gadget for subgame {sub.index}: a termination sentinel leaked "
             f"into the objective; the bounds are mutually inconsistent")
-    gadget_plan = extract_leader_plan(gg.game, model, solution)
-    local_plan = {orig: float(gadget_plan.probs[g])
+    local_plan = {orig: solution.local_plan[g]
                   for g, orig in gg.seq_map.items()}
     return GadgetSolution(value=value, local_plan=local_plan)

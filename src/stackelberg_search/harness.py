@@ -38,11 +38,8 @@ from stackelberg_search.search import (
     SKIPPED_UNREACHABLE,
     BoundsMap,
     SubgamePartition,
-    SubgameQuantities,
     SubgameSolution,
     build_constrained_milp,
-    build_full_milp,
-    extract_leader_plan,
     keep_blueprint,
     partition_subgames,
     prepare_search,
@@ -54,7 +51,6 @@ from stackelberg_search.solver import (
     MilpSolution,
     SolverError,
     fingerprint,
-    solve_milp,
 )
 
 SAFETY_TOL = 1e-6
@@ -119,7 +115,6 @@ class SearchReport:
     plan: RealizationPlan
     solutions: tuple[SubgameSolution, ...]
     bounds: dict[int, BoundsMap]
-    quantities: tuple[SubgameQuantities, ...]
     response: RealizationPlan      # the follower's best response to the
                                    # blueprint, as the preamble computed it
 
@@ -174,7 +169,7 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
             return keep_blueprint(game, sub, blueprint, MilpSolution(
                 SKIPPED_UNREACHABLE, 0.0, None, 0.0, 0.0))
         model = build_constrained_milp(game, sub, q, bounds[sub.index],
-                                       blueprint, context.brvs)
+                                       context.brvs)
         print_ = fingerprint(model.problem, model.warm)
         group = representatives.setdefault(print_.structure, [])
         for twin, other in group:
@@ -223,7 +218,6 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
     local_plans = {s.index: s.local_plan for s in solutions}
     plan = compose_strategy(game, blueprint, partition, local_plans)
     return SearchReport(plan=plan, solutions=tuple(solutions), bounds=bounds,
-                        quantities=tuple(quantities),
                         response=context.response)
 
 
@@ -271,6 +265,11 @@ class GameSpec:
         family = str(raw["family"])
         kinds = FAMILY_PARAMS.get(family, {})
         known = {"family", "label", "path"}
+        if "path" in raw and not (family == "file" and raw["path"]
+                                  and isinstance(raw["path"], str)):
+            raise GameError(f"game 'path' must be a non-empty string on a "
+                            f"'file' game, not {raw['path']!r} on a "
+                            f"{family!r} game")
         params = tuple(sorted((k, v) for k, v in raw.items()
                               if k not in known))
         for key, value in params:
@@ -441,17 +440,14 @@ def write_timing_report(rows: Sequence[ResultRow], path: str) -> None:
 def _solve_full_game(game: GameTree, blueprint: RealizationPlan,
                      time_limit: Optional[float]) -> Optional[float]:
     """Whole-game commitment value, independently re-evaluated; None if the
-    solver produced no usable incumbent within the limit."""
-    model = build_full_milp(game, r1_warm=blueprint)
-    try:
-        solution = solve_milp(model.problem, warm=model.warm,
-                              time_limit=time_limit)
-    except SolverError:
+    solver produced no usable incumbent within the limit.  It is a search
+    over the whole-game partition, whose head bounds are vacuous."""
+    report = safe_search(game, blueprint,
+                         partition_subgames(game, "whole-game"),
+                         time_limit=time_limit)
+    if report.n_fallbacks:
         return None
-    if solution.assignment is None:
-        return None
-    plan = extract_leader_plan(game, model, solution)
-    return evaluate_leader(game, plan)
+    return evaluate_leader(game, report.plan)
 
 
 def run_single(game: GameTree, config: ExperimentConfig,

@@ -308,7 +308,6 @@ class SubgameQuantities:
     index: int
     omega: dict[int, float]          # initial state -> leader*chance reach
     eta: Optional[float]             # 1 / sum(omega), None when unreachable
-    pre2: dict[int, int]             # member node -> outside follower seq
     ctilde: dict[int, float]         # terminal -> chance * leader-bp reach
     cj: dict[int, float]             # terminal -> ctilde * follower-bp reach
 
@@ -323,7 +322,7 @@ def compute_subgame_quantities(game: GameTree, partition: SubgamePartition,
     out = []
     for sub in partition:
         pre1: dict[int, int] = {}        # member node -> outside leader seq
-        pre2: dict[int, int] = {}
+        pre2: dict[int, int] = {}        # member node -> outside follower seq
         omega: dict[int, float] = {}
         for h in sub.initial:
             p1 = int(tp1.node_seq[h])
@@ -343,8 +342,7 @@ def compute_subgame_quantities(game: GameTree, partition: SubgamePartition,
             cj[z] = ct * float(r2_bp.probs[pre2[z]])
         total_omega = sum(omega.values())
         eta = (1.0 / total_omega) if total_omega > 0.0 else None
-        out.append(SubgameQuantities(sub.index, omega, eta, pre2, ctilde,
-                                     cj))
+        out.append(SubgameQuantities(sub.index, omega, eta, ctilde, cj))
     return out
 
 
@@ -530,7 +528,6 @@ class SubgameModel:
 def build_constrained_milp(game: GameTree, sub: Subgame,
                            quantities: SubgameQuantities,
                            bounds: BoundsMap,
-                           r1_bp: RealizationPlan,
                            brvs: BrvTable) -> SubgameModel:
     """The bounded refinement program over one subgame's local sequences.
 
@@ -695,43 +692,20 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
                         leaf_seq1=leaf_seq1, leaf_seq2=leaf_seq2, warm=warm)
 
 
-def whole_game_subgame(game: GameTree) -> tuple[Subgame, SubgameQuantities]:
-    """The trivial decomposition: one subgame containing everything."""
-    sub = _build_subgame(game, 0, [game.root])
-    reach = game.chance_reach()
-    terminals = sub.terminals
-    ctilde = {z: float(reach[z]) for z in terminals}
-    quantities = SubgameQuantities(
-        index=0, omega={game.root: 1.0}, eta=1.0,
-        pre2={n: 0 for n in sub.nodes},
-        ctilde=ctilde, cj=dict(ctilde))
-    return sub, quantities
-
-
 def build_full_milp(game: GameTree,
                     r1_warm: Optional[RealizationPlan] = None) -> SubgameModel:
-    """The unconstrained commitment program over the whole game.
-
-    The optional plan only seeds the warm start (its best response's binary
-    pattern); the uniform plan is used when none is given.
-    """
-    sub, quantities = whole_game_subgame(game)
+    """The unconstrained commitment program over the whole game: the model
+    of the whole-game partition's one subgame.  Its follower heads are the
+    root infosets, on the trunk with infinite slack above them, so every
+    head bound is a vacuous -inf lower bound.  The optional plan (uniform
+    when none is given) only seeds the warm start: no sequence precedes
+    the root, so the quantities are chance reach whatever the plan."""
+    partition = partition_subgames(game, "whole-game")
     r1 = r1_warm if r1_warm is not None else uniform_plan(game, LEADER)
-    brvs = compute_brvs(game, r1)
-    return build_constrained_milp(game, sub, quantities, NO_BOUNDS, r1, brvs)
-
-
-def extract_leader_plan(game: GameTree, model: SubgameModel,
-                        solution: MilpSolution) -> RealizationPlan:
-    """Full-game leader plan from a whole-game model's solution."""
-    tp1 = game.treeplex(LEADER)
-    probs = np.zeros(tp1.n_sequences)
-    for seq, var in model.r1_vars.items():
-        probs[seq] = float(np.clip(solution.assignment[var], 0.0, 1.0))
-    renormalize_flow(tp1, probs)
-    plan = RealizationPlan(LEADER, probs)
-    plan.check_flow(tp1)
-    return plan
+    context = prepare_search(game, r1, partition)
+    return build_constrained_milp(game, partition.subgames[0],
+                                  context.quantities[0], context.bounds[0],
+                                  context.brvs)
 
 
 # ---------------------------------------------------------------------------

@@ -210,8 +210,7 @@ def test_05_gadget_game_matches_direct_bounded_solves():
             game, blueprint)
         for sub in partition:
             model = build_constrained_milp(
-                game, sub, quantities[sub.index], bounds[sub.index],
-                blueprint, brvs)
+                game, sub, quantities[sub.index], bounds[sub.index], brvs)
             direct = solve_subgame(game, model, blueprint)
             assert direct.status == OPTIMAL
             via = solve_via_gadget(game, sub, quantities[sub.index],

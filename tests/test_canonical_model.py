@@ -52,7 +52,7 @@ def test_model_is_the_same_whatever_the_bounds_map_order():
     reversed_bounds = BoundsMap(dict(reversed(bounds.bounds.items())))
     first, second = (
         build_constrained_milp(game, sub, context.quantities[sub.index], b,
-                               blueprint, context.brvs)
+                               context.brvs)
         for b in (bounds, reversed_bounds))
     lp1, lp2 = first.problem.lp, second.problem.lp
     for column in ("row", "col", "relation", "rhs", "row_names", "lower",

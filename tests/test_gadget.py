@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from stackelberg_search.blueprint import fixed_blueprint
-from stackelberg_search.efg import FOLLOWER, LEADER, GameError
+from stackelberg_search.efg import FOLLOWER, LEADER, GameError, uniform_plan
 from stackelberg_search.gadget import (
     GadgetGame,
     group_heads,
@@ -21,18 +21,19 @@ from stackelberg_search.games import (
     shared_exit_game,
     two_subgame_exit_game,
 )
+from stackelberg_search.response import best_response
 from stackelberg_search.search import (
     LOWER,
     BoundsMap,
     SubgameQuantities,
     build_constrained_milp,
+    compute_subgame_quantities,
     partition_subgames,
     prepare_search,
     solve_subgame,
     sse_oracle,
-    whole_game_subgame,
 )
-from stackelberg_search.solver import OPTIMAL, solve_milp
+from stackelberg_search.solver import OPTIMAL
 
 
 def pipeline(game, alpha=0.5, beta=1.0, scheme="metadata"):
@@ -91,7 +92,7 @@ def test_gadget_matches_constrained_on_fixture_subgames():
         r1, brvs, partition, quantities, bounds = pipeline(game)
         for sub in partition:
             model = build_constrained_milp(
-                game, sub, quantities[sub.index], bounds[sub.index], r1, brvs)
+                game, sub, quantities[sub.index], bounds[sub.index], brvs)
             direct = solve_subgame(game, model, r1)
             assert direct.status == OPTIMAL
             via = solve_via_gadget(game, sub, quantities[sub.index],
@@ -113,7 +114,11 @@ def test_gadget_local_plan_matches_constrained():
 
 def test_unbounded_gadget_on_whole_game_is_plain_commitment():
     for game in (kuhn_game(), random_small_game(0), random_small_game(3)):
-        sub, quantities = whole_game_subgame(game)
+        partition = partition_subgames(game, "whole-game")
+        r1 = uniform_plan(game, LEADER)
+        r2, _, _ = best_response(game, r1)
+        (sub,) = partition
+        (quantities,) = compute_subgame_quantities(game, partition, r1, r2)
         empty = BoundsMap({})
         via = solve_via_gadget(game, sub, quantities, empty)
         oracle_value, _ = sse_oracle(game)
@@ -126,7 +131,6 @@ def test_transform_rejects_unreachable_subgame():
     sub = partition.subgames[0]
     unreachable = SubgameQuantities(
         index=0, omega={3: 0.0}, eta=None,
-        pre2=quantities[0].pre2,
         ctilde={5: 0.0, 6: 0.0}, cj={5: 0.0, 6: 0.0})
     with pytest.raises(GameError, match="never enters"):
         transform_subgame(game, sub, unreachable, bounds[0])
@@ -140,7 +144,6 @@ def test_transform_drops_zero_reach_initial_states():
         index=0,
         omega={5: 0.25, 7: 0.25, 9: 0.0},
         eta=2.0,
-        pre2=quantities[0].pre2,
         ctilde=quantities[0].ctilde,
         cj=quantities[0].cj)
     with pytest.warns(UserWarning, match="zero blueprint reach"):

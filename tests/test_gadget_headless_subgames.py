@@ -34,7 +34,7 @@ def test_gadget_matches_direct_on_subgames_without_follower_heads():
         q = context.quantities[sub.index]
         bounds = context.bounds[sub.index]
         assert not bounds.bounds
-        model = build_constrained_milp(game, sub, q, bounds, blueprint,
+        model = build_constrained_milp(game, sub, q, bounds,
                                        context.brvs)
         direct = solve_subgame(game, model, blueprint)
         assert direct.status == OPTIMAL

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,20 @@ def test_run_experiment_full_game_sandwich():
     row = run_experiment(config)[0]
     assert row.full_game_ev == pytest.approx(1.75, abs=1e-6)
     assert row.blueprint_ev - 1e-6 <= row.search_ev <= row.full_game_ev + 1e-6
+
+
+# sha256 of the result CSV of demos/two_stage_batch.json: every EV in it,
+# the whole-game column included, is pinned to the last bit.
+TWO_STAGE_BATCH_CSV = \
+    "b5d9a473049b44c29ae7b18c8963ca8be3eb5fa067734e92f98544f758c52d6d"
+
+
+def test_two_stage_batch_csv_is_pinned():
+    path = Path(__file__).resolve().parent.parent / "demos" \
+        / "two_stage_batch.json"
+    config = ExperimentConfig.from_json(path.read_text(encoding="utf-8"))
+    text = rows_to_csv(run_experiment(config))
+    assert hashlib.sha256(text.encode()).hexdigest() == TWO_STAGE_BATCH_CSV
 
 
 def test_large_beta_is_labeled_potentially_unsafe():

@@ -116,7 +116,7 @@ def test_subgame_lps_match_scipy_bit_for_bit():
     for sub in reachable:
         model = build_constrained_milp(
             game, sub, context.quantities[sub.index],
-            context.bounds[sub.index], blueprint, context.brvs)
+            context.bounds[sub.index], context.brvs)
         problem = model.problem
         lower = np.array(problem.lp.lower)
         upper = np.array(problem.lp.upper)

@@ -49,7 +49,7 @@ def _models(family, method="zerosum", **kwargs):
         sub = partition.subgames[index]
         assert sub.index == index
         return build_constrained_milp(game, sub, context.quantities[index],
-                                      context.bounds[index], blueprint,
+                                      context.bounds[index],
                                       context.brvs)
 
     return model

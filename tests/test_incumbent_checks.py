@@ -3,7 +3,8 @@
 solve_subgame raises SolverError, ending "(solver bug)", when the solver
 hands back an assignment that violates a head-value bound of the subgame,
 or an objective that is not the payoff of the strategy the assignment
-encodes.  Both are injected here into otherwise real solutions.
+encodes.  Both are injected here into otherwise real solutions.  The
+whole-game and gadget commitment solves go through the same checks.
 """
 
 import dataclasses
@@ -13,7 +14,10 @@ import pytest
 
 from stackelberg_search import search
 from stackelberg_search.blueprint import fixed_blueprint
+from stackelberg_search.efg import LEADER
+from stackelberg_search.gadget import solve_via_gadget
 from stackelberg_search.games import two_subgame_exit_game
+from stackelberg_search.harness import _solve_full_game
 from stackelberg_search.search import (
     LOWER,
     build_constrained_milp,
@@ -34,7 +38,7 @@ def _subgame(index):
     sub = partition.subgames[index]
     bounds = context.bounds[index]
     model = build_constrained_milp(game, sub, context.quantities[index],
-                                   bounds, blueprint, context.brvs)
+                                   bounds, context.brvs)
     return game, blueprint, model, bounds
 
 
@@ -80,3 +84,29 @@ def test_objective_off_the_encoded_payoff_is_a_solver_bug(monkeypatch,
     _inject(monkeypatch, off_objective)
     with pytest.raises(SolverError, match=r"\(solver bug\)$"):
         solve_subgame(game, model, blueprint)
+
+
+@pytest.mark.parametrize("solve", ["full-game", "gadget"])
+def test_full_game_and_gadget_incumbents_are_checked(monkeypatch, solve):
+    game = two_subgame_exit_game()
+    blueprint = fixed_blueprint(game).plan
+    read = []
+    original = search._read_incumbent
+
+    def counting(*args):
+        read.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(search, "_read_incumbent", counting)
+    if solve == "full-game":
+        assert _solve_full_game(game, blueprint, None) == \
+            pytest.approx(1.75, abs=1e-6)
+    else:
+        partition = partition_subgames(game, "metadata")
+        context = prepare_search(game, blueprint, partition)
+        via = solve_via_gadget(game, partition.subgames[0],
+                               context.quantities[0], context.bounds[0])
+        u_seq, v_seq = game.treeplex(LEADER).actions_of(2)
+        assert via.local_plan == pytest.approx({u_seq: 0.75, v_seq: 0.25},
+                                               abs=1e-6)
+    assert len(read) == 1

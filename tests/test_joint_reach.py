@@ -49,7 +49,7 @@ def _models(game, blueprint, partition):
     context = prepare_search(game, blueprint, partition)
     return {sub.index: build_constrained_milp(
                 game, sub, context.quantities[sub.index],
-                context.bounds[sub.index], blueprint, context.brvs)
+                context.bounds[sub.index], context.brvs)
             for sub in partition
             if context.quantities[sub.index].eta is not None}
 

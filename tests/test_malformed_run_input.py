@@ -48,6 +48,12 @@ def _search(tmp_path, *extra):
     ("run", {**GOOD_CONFIG, "games": [{"family": "leduc", "N": 2}]}, "'N'"),
     ("run", {**GOOD_CONFIG, "games": [{"family": "twostage", "n": 2.7}]},
      "'n'"),
+    ("run", {**GOOD_CONFIG, "games": [{"family": "file", "path": 999}]},
+     "path"),
+    ("run", {**GOOD_CONFIG, "games": [{"family": "file", "path": ["x"]}]},
+     "path"),
+    ("run", {**GOOD_CONFIG, "games": [{"family": "fig2",
+                                       "path": "nope.json"}]}, "path"),
     ("search", ["--workers", "0"], "workers"),
     ("search", ["--time-limit-per-subgame=-1"], "time_limit_per_subgame"),
     ("search", ["--time-limit-per-subgame", "nan"], "time_limit_per_subgame"),
@@ -56,6 +62,7 @@ def _search(tmp_path, *extra):
         "time-limit-string", "time-limit-nan", "full-game-string",
         "game-parameter-string", "game-parameter-bool", "unknown-key",
         "game-parameter-unread", "game-parameter-fractional",
+        "game-path-number", "game-path-list", "game-path-on-generator",
         "search-workers-0",
         "search-time-limit-negative", "search-time-limit-nan",
         "search-beta-nan"])

@@ -75,7 +75,7 @@ def test_leaf_reach_carries_the_blueprint_mass(name):
                          * context.response.probs[tp2.node_seq[z]])
                    for z in sub.terminals)
         model = build_constrained_milp(game, sub, quantities,
-                                       context.bounds[sub.index], blueprint,
+                                       context.bounds[sub.index],
                                        context.brvs)
         root = solve_lp(model.problem.lp)
         incumbent = solve_subgame(game, model, blueprint)

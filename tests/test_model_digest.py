@@ -59,7 +59,7 @@ def _digest(game, blueprint, partition, full_game: bool = False):
         if q.eta is None:
             continue
         _update_model(h, build_constrained_milp(
-            game, sub, q, context.bounds[sub.index], blueprint, context.brvs))
+            game, sub, q, context.bounds[sub.index], context.brvs))
         n_models += 1
     if full_game:
         _update_model(h, build_full_milp(game))

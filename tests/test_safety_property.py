@@ -78,7 +78,7 @@ def test_search_is_safe_and_gadget_matches_direct(game_seed, kappa,
         if q.eta is None:
             continue
         model = build_constrained_milp(game, sub, q, context.bounds[sub.index],
-                                       blueprint, context.brvs)
+                                       context.brvs)
         direct = solve_subgame(game, model, blueprint)
         assert direct.status == OPTIMAL
         via = solve_via_gadget(game, sub, q, context.bounds[sub.index])
@@ -153,7 +153,7 @@ def test_search_is_safe_on_random_explicit_partitions(game_seed, choice,
         if q.eta is None:
             continue
         model = build_constrained_milp(game, sub, q, context.bounds[sub.index],
-                                       blueprint, context.brvs)
+                                       context.brvs)
         direct = solve_subgame(game, model, blueprint)
         assert direct.status == OPTIMAL
         via = solve_via_gadget(game, sub, q, context.bounds[sub.index])

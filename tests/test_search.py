@@ -15,6 +15,7 @@ from stackelberg_search.efg import (
     LEADER,
     GameError,
     expected_payoffs,
+    uniform_plan,
 )
 from stackelberg_search.games import (
     GoofspielSpec,
@@ -29,6 +30,7 @@ from stackelberg_search.games import (
     two_stage_game,
     two_subgame_exit_game,
 )
+from stackelberg_search.harness import safe_search
 from stackelberg_search.response import (
     best_response,
     compute_brvs,
@@ -42,11 +44,9 @@ from stackelberg_search.search import (
     build_full_milp,
     compute_bounds,
     compute_subgame_quantities,
-    extract_leader_plan,
     partition_subgames,
     solve_subgame,
     sse_oracle,
-    whole_game_subgame,
 )
 from stackelberg_search.solver import INCUMBENT_TIME_LIMIT, OPTIMAL, solve_milp
 
@@ -63,6 +63,14 @@ def pipeline(game, alpha=0.5, beta=1.0, scheme="metadata", **kwargs):
     quantities = compute_subgame_quantities(game, partition, r1, r2)
     bounds, trace = compute_bounds(game, brvs, trunk, partition, alpha, beta)
     return r1, r2, brvs, trunk, partition, quantities, bounds, trace
+
+
+def solve_full_game(game):
+    """The whole-game commitment solve, the uniform plan seeding its warm
+    start: a search over the whole-game partition's one subgame."""
+    report = safe_search(game, uniform_plan(game, LEADER),
+                         partition_subgames(game, "whole-game"))
+    return report.solutions[0], report.plan
 
 
 def seq_by_label(tp) -> dict[str, int]:
@@ -214,7 +222,7 @@ def test_quantity_eta_is_the_inverse_entry_reach():
 
 def test_whole_game_quantities_are_chance_reach():
     game = two_subgame_exit_game()
-    sub, quantities = whole_game_subgame(game)
+    _, _, _, _, _, (quantities,), _, _ = pipeline(game, scheme="whole-game")
     assert quantities.eta == 1.0
     ids, _, _, reach, _, _ = game.leaf_arrays()
     for nid, c in zip(ids, reach):
@@ -365,11 +373,9 @@ def test_full_milp_matches_oracle_on_fixtures():
                            (shared_exit_game(), 1.5)):
         oracle_value, oracle_plan = sse_oracle(game)
         assert oracle_value == pytest.approx(expected, abs=1e-9)
-        model = build_full_milp(game)
-        sol = solve_milp(model.problem, warm=model.warm)
+        sol, plan = solve_full_game(game)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(expected, abs=1e-6)
-        plan = extract_leader_plan(game, model, sol)
         response, _, _ = best_response(game, plan)
         value = expected_payoffs(game, plan, response)[0]
         assert value == pytest.approx(expected, abs=1e-6)
@@ -378,13 +384,11 @@ def test_full_milp_matches_oracle_on_fixtures():
 def test_full_milp_matches_oracle_on_kuhn():
     game = kuhn_game()
     oracle_value, _ = sse_oracle(game)
-    model = build_full_milp(game)
-    sol = solve_milp(model.problem, warm=model.warm)
+    sol, plan = solve_full_game(game)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(oracle_value, abs=1e-6)
     # Commitment can only help the leader relative to the zero-sum value.
     assert sol.objective >= -1.0 / 18.0 - 1e-9
-    plan = extract_leader_plan(game, model, sol)
     response, _, _ = best_response(game, plan)
     assert expected_payoffs(game, plan, response)[0] == \
         pytest.approx(oracle_value, abs=1e-6)
@@ -420,7 +424,7 @@ def test_whole_game_subgame_equals_full_milp():
     assert all(value == NEG_INF and direction == LOWER
                for direction, value in bounds[0].bounds.values())
     model = build_constrained_milp(game, partition.subgames[0],
-                                   quantities[0], bounds[0], r1, brvs)
+                                   quantities[0], bounds[0], brvs)
     sol = solve_milp(model.problem, warm=model.warm)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.75, abs=1e-6)
@@ -436,8 +440,7 @@ def test_constrained_milp_two_subgame_exit():
     tp1 = game.treeplex(LEADER)
 
     left = partition.subgames[0]
-    model = build_constrained_milp(game, left, quantities[0], bounds[0],
-                                   r1, brvs)
+    model = build_constrained_milp(game, left, quantities[0], bounds[0], brvs)
     sol = solve_subgame(game, model, r1)
     assert sol.status == OPTIMAL
     assert not sol.used_fallback
@@ -449,8 +452,7 @@ def test_constrained_milp_two_subgame_exit():
     assert sol.local_plan[v_seq] == pytest.approx(0.25, abs=1e-6)
 
     right = partition.subgames[1]
-    model = build_constrained_milp(game, right, quantities[1], bounds[1],
-                                   r1, brvs)
+    model = build_constrained_milp(game, right, quantities[1], bounds[1], brvs)
     sol = solve_subgame(game, model, r1)
     assert sol.status == OPTIMAL
     # Unreached subgame: nothing to gain, but the upper bound pins the
@@ -468,7 +470,7 @@ def test_constrained_milp_shared_exit():
     total = 0.0
     for sub in partition:
         model = build_constrained_milp(game, sub, quantities[sub.index],
-                                       bounds[sub.index], r1, brvs)
+                                       bounds[sub.index], brvs)
         sol = solve_subgame(game, model, r1)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(0.625, abs=1e-6)
@@ -480,8 +482,7 @@ def test_constrained_milp_binary_count_matches_local_structure():
     game = two_subgame_exit_game()
     r1, r2, brvs, trunk, partition, quantities, bounds, _ = pipeline(game)
     sub = partition.subgames[0]
-    model = build_constrained_milp(game, sub, quantities[0], bounds[0],
-                                   r1, brvs)
+    model = build_constrained_milp(game, sub, quantities[0], bounds[0], brvs)
     # One action sequence ("go"); the head's entry ("stay") is the
     # constant 1, not a column.
     assert len(model.problem.binaries) == 1
@@ -496,8 +497,7 @@ def test_solve_subgame_time_limit_keeps_warm_incumbent():
     game = two_subgame_exit_game()
     r1, r2, brvs, trunk, partition, quantities, bounds, _ = pipeline(game)
     sub = partition.subgames[0]
-    model = build_constrained_milp(game, sub, quantities[0], bounds[0],
-                                   r1, brvs)
+    model = build_constrained_milp(game, sub, quantities[0], bounds[0], brvs)
     sol = solve_subgame(game, model, r1, time_limit=0.0)
     assert sol.status in (OPTIMAL, INCUMBENT_TIME_LIMIT)
     assert not sol.used_fallback
@@ -511,8 +511,7 @@ def test_solve_subgame_falls_back_on_infeasible_model():
     r1, r2, brvs, trunk, partition, quantities, bounds, _ = pipeline(game)
     sub = partition.subgames[0]
     impossible = BoundsMap({1: (LOWER, 10.0)})
-    model = build_constrained_milp(game, sub, quantities[0], impossible,
-                                   r1, brvs)
+    model = build_constrained_milp(game, sub, quantities[0], impossible, brvs)
     sol = solve_subgame(game, model, r1)
     assert sol.used_fallback
     tp1 = game.treeplex(LEADER)
@@ -533,7 +532,7 @@ def test_two_stage_subgames_solve_from_stage_blueprint():
         bounds, _ = compute_bounds(game, brvs, trunk, partition, 0.5, 1.0)
         for sub in partition:
             model = build_constrained_milp(
-                game, sub, quantities[sub.index], bounds[sub.index], r1, brvs)
+                game, sub, quantities[sub.index], bounds[sub.index], brvs)
             sol = solve_subgame(game, model, r1)
             assert sol.status == OPTIMAL, (seed, kappa, sub.index)
             assert not sol.used_fallback

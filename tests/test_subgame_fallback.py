@@ -32,7 +32,7 @@ def exit_model():
     context = prepare_search(game, blueprint, partition)
     sub = partition.subgames[0]
     model = build_constrained_milp(game, sub, context.quantities[0],
-                                   context.bounds[0], blueprint, context.brvs)
+                                   context.bounds[0], context.brvs)
     return game, blueprint, model
 
 

@@ -44,7 +44,7 @@ def _expected_sizes(game, blueprint, partition) -> dict[int, tuple]:
             sizes[sub.index] = (0, 0, 0)
             continue
         model = build_constrained_milp(game, sub, q,
-                                       context.bounds[sub.index], blueprint,
+                                       context.bounds[sub.index],
                                        context.brvs)
         sizes[sub.index] = (model.problem.lp.n_vars,
                             len(model.problem.lp.rows),

@@ -139,7 +139,7 @@ def test_bounded_subgame_optimum_matches_brute_force(game_seed, choice,
         if q.eta is None:
             continue
         bounds = context.bounds[sub.index]
-        model = build_constrained_milp(game, sub, q, bounds, blueprint,
+        model = build_constrained_milp(game, sub, q, bounds,
                                        context.brvs)
         solution = solve_milp(model.problem, warm=model.warm)
         assert solution.status == OPTIMAL

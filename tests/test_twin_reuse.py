@@ -54,7 +54,7 @@ def _models(game, blueprint, partition):
         if q.eta is not None:
             yield build_constrained_milp(game, sub, q,
                                          context.bounds[sub.index],
-                                         blueprint, context.brvs)
+                                         context.brvs)
 
 
 def _twin_pairs(models):
