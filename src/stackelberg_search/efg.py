@@ -13,7 +13,9 @@ sequence ``sigma``, ``r(sigma) = sum_a r(sigma a)``.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -30,6 +32,31 @@ PLAYER_NAMES = {LEADER: "leader", FOLLOWER: "follower", CHANCE: "chance"}
 # looser 1e-6; see solver.py.
 FLOW_TOL = 1e-9
 CHANCE_TOL = 1e-12
+
+
+@contextmanager
+def _collector_paused():
+    """Hold off CPython's cyclic garbage collector while a game is built.
+
+    A build makes a few hundred thousand acyclic records (named tuples of
+    ints, strings and tuples), which the collector would otherwise rescan
+    many times over while they are made.  Reference counting still frees
+    everything; only the cycle scans stop.  On exit the collector is
+    re-enabled only if it was enabled on entry, so a caller that disabled
+    it keeps it disabled.  Used as a decorator, it pauses for each call.
+
+    The switch is process-wide.  A thread that starts a build while
+    another thread's build holds the collector off finds it disabled and
+    leaves it so; the collector comes back when the build that paused it
+    ends, even if the other build is still running.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class GameError(ValueError):
@@ -115,7 +142,8 @@ class GameTree:
 
     def treeplex(self, player: int) -> "Treeplex":
         if player not in self._treeplexes:
-            self._treeplexes[player] = build_treeplex(self, player)
+            with _collector_paused():
+                self._treeplexes[player] = build_treeplex(self, player)
         return self._treeplexes[player]
 
     def leaf_arrays(self):
@@ -662,8 +690,8 @@ class TreeBuilder:
 def _group_ids(keys: list[Optional[int]], n_groups: int) -> list[tuple[int, ...]]:
     """For each group g < n_groups, the ids i with keys[i] == g, ascending.
 
-    A None key is in no group.  Sorting in numpy makes no list per node,
-    which the cyclic garbage collector would scan while the tree is built.
+    A None key is in no group.  One stable sort in numpy groups every id
+    at once, with no Python list grown per group.
     """
     key = np.array(keys, dtype=float)  # None becomes nan
     ids = np.flatnonzero(~np.isnan(key))

@@ -41,6 +41,7 @@ from stackelberg_search.efg import (
     GameTree,
     InfoSet,
     TreeBuilder,
+    _collector_paused,
     require_valid,
 )
 
@@ -95,6 +96,7 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise GameFileError(f"{path}: {message}")
 
 
+@_collector_paused()
 def parse_game(text: str) -> GameTree:
     try:
         doc = json.loads(text)
@@ -355,6 +357,8 @@ class TwoStageSpec:
             raise GameError("two-stage sizes must be >= 1")
         if not 0.0 <= self.kappa <= 1.0:
             raise GameError("kappa must lie in [0, 1]")
+        if self.seed < 0:
+            raise GameError(f"two-stage seed must be >= 0, not {self.seed}")
 
 
 def two_stage_game(spec: TwoStageSpec) -> GameTree:
@@ -644,6 +648,8 @@ def random_small_game(seed: int) -> GameTree:
     matrix game, a two-level leader/follower/leader tree, and a
     follower-first tree.  Payoffs are i.i.d. uniform on [0, 2].
     """
+    if seed < 0:
+        raise GameError(f"random-small seed must be >= 0, not {seed}")
     rng = np.random.default_rng(seed)
     shape = seed % 4
     b = TreeBuilder()
@@ -700,6 +706,7 @@ FAMILY_PARAMS = {
     "random-small": {"seed": int}}
 
 
+@_collector_paused()
 def generate(family: str, **kwargs) -> GameTree:
     """Build a game by family name; kwargs as in the CLI flags."""
     if family == "fig2":

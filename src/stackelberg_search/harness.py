@@ -32,7 +32,7 @@ from stackelberg_search.efg import (
 )
 from stackelberg_search.gadget import solve_via_gadget
 from stackelberg_search.games import FAMILY_PARAMS, generate, load_game
-from stackelberg_search.response import best_response
+from stackelberg_search.response import BrvTable, best_response, compute_brvs
 from stackelberg_search.search import (
     NO_BOUNDS,
     SKIPPED_UNREACHABLE,
@@ -134,7 +134,8 @@ class SearchReport:
 def safe_search(game: GameTree, blueprint: RealizationPlan,
                 partition: SubgamePartition, *, alpha: float = 0.5,
                 beta: float = 1.0, time_limit: Optional[float] = None,
-                workers: int = 1) -> SearchReport:
+                workers: int = 1,
+                brvs: Optional[BrvTable] = None) -> SearchReport:
     """Refine the blueprint in every subgame under follower-value bounds.
 
     Subgames the blueprint cannot reach (leader/chance probability zero)
@@ -151,8 +152,12 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
     is its lowest index whatever `workers` is; with one worker one model is
     alive at a time.  A twin whose representative is still solving does
     not hold a worker: it is settled once the pool drains.
+
+    `brvs`, the blueprint's best-response values when the caller has
+    them, are used instead of computed again (see prepare_search).
     """
-    context = prepare_search(game, blueprint, partition, alpha, beta)
+    context = prepare_search(game, blueprint, partition, alpha, beta,
+                             brvs=brvs)
     quantities, bounds = context.quantities, context.bounds
     representatives: dict[bytes, list[tuple[int, Fingerprint]]] = {}
     # Only the calling thread reads or writes representatives.  Workers
@@ -438,13 +443,15 @@ def write_timing_report(rows: Sequence[ResultRow], path: str) -> None:
 
 
 def _solve_full_game(game: GameTree, blueprint: RealizationPlan,
-                     time_limit: Optional[float]) -> Optional[float]:
+                     time_limit: Optional[float], *,
+                     brvs: Optional[BrvTable] = None) -> Optional[float]:
     """Whole-game commitment value, independently re-evaluated; None if the
     solver produced no usable incumbent within the limit.  It is a search
-    over the whole-game partition, whose head bounds are vacuous."""
+    over the whole-game partition, whose head bounds are vacuous; `brvs`
+    are the blueprint's best-response values if already computed."""
     report = safe_search(game, blueprint,
                          partition_subgames(game, "whole-game"),
-                         time_limit=time_limit)
+                         time_limit=time_limit, brvs=brvs)
     if report.n_fallbacks:
         return None
     return evaluate_leader(game, report.plan)
@@ -455,16 +462,20 @@ def run_single(game: GameTree, config: ExperimentConfig,
     started = time.perf_counter()
     blueprint = make_blueprint(game, config.blueprint_method)
     partition = partition_subgames(game, config.scheme, m=config.scheme_m)
+    # Both searches share the blueprint's best-response values.  A lone
+    # search computes its own and drops them when it returns.
+    brvs = compute_brvs(game, blueprint.plan) if config.solve_full_game \
+        else None
     report = safe_search(game, blueprint.plan, partition,
                          alpha=config.alpha, beta=config.beta,
                          time_limit=config.subgame_time_limit,
-                         workers=config.workers)
+                         workers=config.workers, brvs=brvs)
     blueprint_ev = expected_payoffs(game, blueprint.plan, report.response)[0]
     search_ev = evaluate_leader(game, report.plan)
     full_ev = None
     if config.solve_full_game:
         full_ev = _solve_full_game(game, blueprint.plan,
-                                   config.full_game_time_limit)
+                                   config.full_game_time_limit, brvs=brvs)
     row = ResultRow(
         game=label, scheme=config.scheme, n_subgames=len(partition),
         alpha=config.alpha, beta=config.beta, seed=config.seed,

@@ -13,7 +13,7 @@ with a tolerance so float noise cannot flip branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -141,48 +141,3 @@ def compute_trunk(game: GameTree, r_2bp: RealizationPlan) -> Trunk:
         if r_2bp.probs[tp2.entry_seq[infoset]] > 0.5
     )
     return Trunk(members, r_2bp)
-
-
-# ---------------------------------------------------------------------------
-# Pure-plan enumeration (oracles and small-game exhaustive checks)
-
-
-def enumerate_pure_plans(game: GameTree, player: int) -> Iterator[RealizationPlan]:
-    """All reduced pure realization plans of a player, in deterministic order.
-
-    Off-path information sets carry probability zero (reduced form), so the
-    count is the product over reachable infosets of their action counts, not
-    an exponential over all infosets.  Plans are built one at a time, so the
-    first ones come at once even when the count is astronomical.
-    """
-    tp = game.treeplex(player)
-
-    def expand(infosets: Sequence[int]) -> Iterator[tuple[int, ...]]:
-        """Every choice of sequences below the given sibling infosets; the
-        first infoset varies slowest."""
-        if not infosets:
-            yield ()
-            return
-        for seq in tp.actions_of(infosets[0]):
-            for below in expand(tp.children_infosets.get(seq, ())):
-                for rest in expand(infosets[1:]):
-                    yield (seq,) + below + rest
-
-    for chosen in expand(tp.children_infosets.get(0, ())):
-        probs = np.zeros(tp.n_sequences)
-        probs[0] = 1.0
-        for seq in chosen:
-            probs[seq] = 1.0
-        yield RealizationPlan(player, probs)
-
-
-def count_pure_plans(game: GameTree, player: int) -> int:
-    tp = game.treeplex(player)
-
-    def expand(seq_id: int) -> int:
-        total = 1
-        for infoset in tp.children_infosets.get(seq_id, ()):
-            total *= sum(expand(seq) for seq in tp.actions_of(infoset))
-        return total
-
-    return expand(0)

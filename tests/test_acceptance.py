@@ -44,7 +44,7 @@ from stackelberg_search.harness import (
     run_single,
     safe_search,
 )
-from stackelberg_search.response import best_response, count_pure_plans
+from stackelberg_search.response import best_response
 from stackelberg_search.search import (
     LOWER,
     UPPER,
@@ -53,9 +53,10 @@ from stackelberg_search.search import (
     partition_subgames,
     prepare_search,
     solve_subgame,
-    sse_oracle,
 )
 from stackelberg_search.solver import OPTIMAL, solve_milp
+
+from oracles import count_pure_plans, sse_oracle
 
 
 def _summary(text: str) -> None:

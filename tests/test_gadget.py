@@ -31,9 +31,10 @@ from stackelberg_search.search import (
     partition_subgames,
     prepare_search,
     solve_subgame,
-    sse_oracle,
 )
 from stackelberg_search.solver import OPTIMAL
+
+from oracles import sse_oracle
 
 
 def pipeline(game, alpha=0.5, beta=1.0, scheme="metadata"):

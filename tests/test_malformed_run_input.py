@@ -1,4 +1,5 @@
-"""Malformed `run` configs and `search` arguments exit 2 with an error line.
+"""Malformed `run` configs and `search` and `generate` arguments exit 2
+with an error line.
 
 Exit 1 is what `run` keeps for a safety violation, so a bad input must
 neither end in a traceback (exit 1) nor run on a value it cannot honour.
@@ -54,6 +55,12 @@ def _search(tmp_path, *extra):
      "path"),
     ("run", {**GOOD_CONFIG, "games": [{"family": "fig2",
                                        "path": "nope.json"}]}, "path"),
+    ("run", {**GOOD_CONFIG, "games": [{"family": "random-small",
+                                       "seed": -1}]}, "seed"),
+    ("run", {**GOOD_CONFIG, "games": [{"family": "twostage", "seed": -1}]},
+     "seed"),
+    ("generate", ["--family", "random-small", "--seed", "-1"], "seed"),
+    ("generate", ["--family", "twostage", "--seed", "-5"], "seed"),
     ("search", ["--workers", "0"], "workers"),
     ("search", ["--time-limit-per-subgame=-1"], "time_limit_per_subgame"),
     ("search", ["--time-limit-per-subgame", "nan"], "time_limit_per_subgame"),
@@ -63,13 +70,20 @@ def _search(tmp_path, *extra):
         "game-parameter-string", "game-parameter-bool", "unknown-key",
         "game-parameter-unread", "game-parameter-fractional",
         "game-path-number", "game-path-list", "game-path-on-generator",
+        "game-seed-negative-random-small", "game-seed-negative-twostage",
+        "generate-seed-negative-random-small",
+        "generate-seed-negative-twostage",
         "search-workers-0",
         "search-time-limit-negative", "search-time-limit-nan",
         "search-beta-nan"])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, command,
                                                 given, key):
-    argv = _run(tmp_path, given) if command == "run" \
-        else _search(tmp_path, *given)
+    if command == "run":
+        argv = _run(tmp_path, given)
+    elif command == "search":
+        argv = _search(tmp_path, *given)
+    else:
+        argv = [command, *given, "--out", str(tmp_path / "game.json")]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -13,7 +13,8 @@ import pytest
 
 from stackelberg_search.efg import FOLLOWER, LEADER
 from stackelberg_search.games import generate
-from stackelberg_search.response import count_pure_plans, enumerate_pure_plans
+
+from oracles import count_pure_plans, enumerate_pure_plans
 
 GAMES = [("kuhn", {}), ("twostage", {"seed": 0})] + \
     [("random-small", {"seed": s}) for s in range(5)]

@@ -31,9 +31,9 @@ from stackelberg_search.response import (
     best_response,
     compute_brvs,
     compute_trunk,
-    count_pure_plans,
-    enumerate_pure_plans,
 )
+
+from oracles import count_pure_plans, enumerate_pure_plans
 
 
 def seq_ids_by_label(game, player):

@@ -46,9 +46,10 @@ from stackelberg_search.search import (
     compute_subgame_quantities,
     partition_subgames,
     solve_subgame,
-    sse_oracle,
 )
 from stackelberg_search.solver import INCUMBENT_TIME_LIMIT, OPTIMAL, solve_milp
+
+from oracles import sse_oracle
 
 NEG_INF = float("-inf")
 
