@@ -81,18 +81,12 @@ def compose_strategy(game: GameTree, blueprint: RealizationPlan,
         local = local_plans.get(sub.index)
         if local is None:
             continue
-        heads = set(sub.heads[LEADER])
-        scale: dict[int, float] = {}
-        for infoset in sub.top_down[LEADER]:
-            entry = tp1.entry_seq[infoset]
-            if infoset in heads:
-                scale[infoset] = float(blueprint.probs[entry])
-            else:
-                scale[infoset] = scale[tp1.sequences[entry].parent_infoset]
+        for infoset, head in sub.head_of[LEADER].items():
+            scale = float(blueprint.probs[tp1.entry_seq[head]])
             seqs = tp1.actions_of(infoset)
             if all(s in local for s in seqs):
                 for s in seqs:
-                    probs[s] = scale[infoset] * float(local[s])
+                    probs[s] = scale * float(local[s])
     plan = RealizationPlan(LEADER, probs)
     plan.check_flow(tp1)
     return plan
@@ -327,8 +321,9 @@ class ExperimentConfig:
             raise GameError("experiment config lists no games")
         if not (_is_number(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise GameError(f"alpha must lie in [0, 1], not {self.alpha!r}")
-        if not (_is_number(self.beta) and self.beta >= 1.0):
-            raise GameError(f"beta must be a number >= 1, not {self.beta!r}")
+        if not (_is_number(self.beta) and 1.0 <= self.beta < math.inf):
+            raise GameError(f"beta must be a finite number >= 1, not "
+                            f"{self.beta!r}")
         for key, value in (("seed", self.seed), ("m", self.scheme_m)):
             if value is not None and not _is_number(value, int):
                 raise GameError(f"{key} must be an integer, not {value!r}")

@@ -77,7 +77,9 @@ class Subgame:
     terminals: tuple[int, ...]
     infosets: dict[int, tuple[int, ...]]  # player -> infoset ids inside
     heads: dict[int, tuple[int, ...]]     # player -> head infoset ids
-    top_down: dict[int, tuple[int, ...]]  # player -> inside ids, parents first
+    # player -> inside id -> the head above it (itself at a head), in
+    # top-down order: sorted by entry sequence, so parents come first.
+    head_of: dict[int, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def _build_subgame(game: GameTree, index: int, initial: list[int]) -> Subgame:
             member_infosets[node.player].add(node.infoset)
     infosets: dict[int, tuple[int, ...]] = {}
     heads: dict[int, tuple[int, ...]] = {}
-    top_down: dict[int, tuple[int, ...]] = {}
+    head_of: dict[int, dict[int, int]] = {}
     for player in (LEADER, FOLLOWER):
         tp = game.treeplex(player)
         inside_set = member_infosets[player]
@@ -124,20 +126,16 @@ def _build_subgame(game: GameTree, index: int, initial: list[int]) -> Subgame:
                 raise GameError(
                     f"subgame {index}: infoset {infoset_id} straddles the "
                     f"boundary (members {sorted(outside)} outside)")
-        head_list = []
-        for infoset_id in inside_set:
-            entry = tp.entry_seq[infoset_id]
-            parent_infoset = tp.sequences[entry].parent_infoset
-            if parent_infoset is None or parent_infoset not in inside_set:
-                head_list.append(infoset_id)
         infosets[player] = tuple(sorted(inside_set))
-        heads[player] = tuple(sorted(head_list))
-        # Entry sequence ids grow down the treeplex.
-        top_down[player] = tuple(sorted(infosets[player],
-                                        key=tp.entry_seq.__getitem__))
+        # Entry sequence ids grow down the treeplex, so a parent inside is
+        # mapped before its children; an infoset with none is a head.
+        own = head_of[player] = {}
+        for i in sorted(infosets[player], key=tp.entry_seq.__getitem__):
+            own[i] = own.get(tp.sequences[tp.entry_seq[i]].parent_infoset, i)
+        heads[player] = tuple(sorted(i for i, h in own.items() if i == h))
     return Subgame(index=index, initial=tuple(sorted(initial)), nodes=nodes,
                    terminals=terminals, infosets=infosets, heads=heads,
-                   top_down=top_down)
+                   head_of=head_of)
 
 
 def check_partition(game: GameTree, partition: SubgamePartition) -> None:
@@ -377,17 +375,22 @@ def compute_bounds(game: GameTree, brvs: BrvTable, trunk: Trunk,
                    ) -> tuple[dict[int, BoundsMap], BoundsTrace]:
     """Head bounds via slack-splitting over the follower treeplex.
 
-    Walking down from the root, the follower's best-response values leave
-    slack between what the response achieves and what a bound must permit;
-    the slack is split evenly among parallel information sets (scaled by beta
-    along the trunk) and the walk freezes a bound when it reaches a subgame
-    head.  alpha interpolates the branch-point bound between the second-best
-    (0) and best (1) action values.
+    One parents-first pass over tp2.infoset_ids carries a lower (trunk) or
+    upper argument from each sequence to the infosets below it.  The
+    follower's best-response values leave slack between what the response
+    achieves and what a bound must permit; the slack is split evenly among
+    parallel information sets (scaled by beta along the trunk).  At a
+    subgame head the argument is frozen as its bound, and nothing below a
+    head is visited.  Elsewhere on the trunk the best action carries the
+    branch-point bound down as a lower argument and every other action as
+    an upper one; alpha interpolates that bound between the second-best (0)
+    and best (1) action values.  beta must be a finite number >= 1: an
+    infinite one turns zero slack into NaN.
     """
     if not 0.0 <= alpha <= 1.0:
         raise GameError("alpha must lie in [0, 1]")
-    if not beta >= 1.0:
-        raise GameError("beta must be >= 1")
+    if not 1.0 <= beta < np.inf:
+        raise GameError(f"beta must be a finite number >= 1, not {beta!r}")
     tp2 = game.treeplex(FOLLOWER)
     head_owner: dict[int, int] = {}
     for sub in partition:
@@ -407,46 +410,28 @@ def compute_bounds(game: GameTree, brvs: BrvTable, trunk: Trunk,
             term = alpha * v_star + (1.0 - alpha) * v_second
         return max(term, lb)
 
-    def exp_seq_trunk(seq: int, lb: float) -> None:
-        trace.seq[seq] = (LOWER, lb)
-        children = tp2.children_infosets.get(seq, ())
-        if not children:
-            return
-        slack = beta * (brvs.brv_seq[seq] - lb) / len(children)
-        for infoset in children:
-            exp_inf_trunk(infoset, brvs.brv_inf[infoset] - slack)
-
-    def exp_inf_trunk(infoset: int, lb: float) -> None:
-        trace.infoset[infoset] = (LOWER, lb)
+    trace.seq[0] = (LOWER, NEG_INF)
+    for infoset in tp2.infoset_ids:
+        entry = tp2.entry_seq[infoset]
+        if entry not in trace.seq:
+            continue  # below a head
+        direction, value = trace.seq[entry]
+        v, n = brvs.brv_inf[infoset], len(tp2.children_infosets[entry])
+        if direction == LOWER:
+            arg = v - beta * (brvs.brv_seq[entry] - value) / n
+        else:
+            arg = v + (value - brvs.brv_seq[entry]) / n
+        trace.infoset[infoset] = (direction, arg)
         if infoset in head_owner:
-            result[head_owner[infoset]].bounds[infoset] = (LOWER, lb)
-            return
-        bound = branch_bound(infoset, lb)
-        chosen = brvs.best_action[infoset]
-        for seq in tp2.actions_of(infoset):
-            if seq == chosen:
-                exp_seq_trunk(seq, bound)
-            else:
-                exp_seq_non_trunk(seq, bound)
-
-    def exp_seq_non_trunk(seq: int, ub: float) -> None:
-        trace.seq[seq] = (UPPER, ub)
-        children = tp2.children_infosets.get(seq, ())
-        if not children:
-            return
-        slack = (ub - brvs.brv_seq[seq]) / len(children)
-        for infoset in children:
-            exp_inf_non_trunk(infoset, brvs.brv_inf[infoset] + slack)
-
-    def exp_inf_non_trunk(infoset: int, ub: float) -> None:
-        trace.infoset[infoset] = (UPPER, ub)
-        if infoset in head_owner:
-            result[head_owner[infoset]].bounds[infoset] = (UPPER, ub)
-            return
-        for seq in tp2.actions_of(infoset):
-            exp_seq_non_trunk(seq, ub)
-
-    exp_seq_trunk(0, NEG_INF)
+            result[head_owner[infoset]].bounds[infoset] = (direction, arg)
+        elif direction == LOWER:
+            bound = branch_bound(infoset, arg)
+            chosen = brvs.best_action[infoset]
+            for seq in tp2.actions_of(infoset):
+                trace.seq[seq] = (LOWER if seq == chosen else UPPER, bound)
+        else:
+            for seq in tp2.actions_of(infoset):
+                trace.seq[seq] = (UPPER, arg)
 
     # Sanity: directions must agree with trunk membership, and the blueprint
     # response must satisfy every bound (lower <= BRV at trunk heads, upper
@@ -458,9 +443,10 @@ def compute_bounds(game: GameTree, brvs: BrvTable, trunk: Trunk,
                 raise GameError(
                     f"bound direction at infoset {infoset} contradicts trunk")
             brv = brvs.brv_inf[infoset]
-            if direction == LOWER and value > brv + 1e-9:
+            # Written so that a NaN bound fails.
+            if direction == LOWER and not value <= brv + 1e-9:
                 raise GameError(f"infeasible lower bound at {infoset}")
-            if direction == UPPER and value < brv - 1e-9:
+            if direction == UPPER and not value >= brv - 1e-9:
                 raise GameError(f"infeasible upper bound at {infoset}")
     return result, trace
 
@@ -634,10 +620,7 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
               for z in sub.terminals}
 
     # Realized follower value per head: sum(g2 * p) below it covers v_I.
-    head_of: dict[int, int] = {}
-    for infoset in sub.top_down[FOLLOWER]:
-        parent = tp2.sequences[tp2.entry_seq[infoset]].parent_infoset
-        head_of[infoset] = head_of.get(parent, infoset)
+    head_of = sub.head_of[FOLLOWER]
     realized = {head: {v_vars[head]: -1.0} for head in sub.heads[FOLLOWER]}
     for s2, terms in g2_terms.items():
         realized[head_of[tp2.sequences[s2].parent_infoset]].update(
@@ -684,7 +667,7 @@ def build_constrained_milp(game: GameTree, sub: Subgame,
     # action below every inside infoset it reaches, zeros elsewhere).
     warm = np.zeros(lp.n_vars)
     reached = {tp2.entry_seq[i] for i in sub.heads[FOLLOWER]}
-    for infoset in sub.top_down[FOLLOWER]:
+    for infoset in head_of:  # parents first
         if tp2.entry_seq[infoset] in reached:
             chosen = brvs.best_action[infoset]
             warm[r2_vars[chosen]] = 1.0
@@ -749,18 +732,10 @@ def blueprint_local_plan(game: GameTree, sub: Subgame,
                          r1_bp: RealizationPlan) -> dict[int, float]:
     """The blueprint itself, renormalized to 1 at each leader head."""
     tp1 = game.treeplex(LEADER)
-    local: dict[int, float] = {}
-    heads = set(sub.heads[LEADER])
-    for infoset in sub.top_down[LEADER]:
-        entry = 1.0 if infoset in heads else local[tp1.entry_seq[infoset]]
-        seqs = tp1.actions_of(infoset)
-        bp_entry = r1_bp.probs[tp1.entry_seq[infoset]]
-        if bp_entry > 1e-12:
-            for seq in seqs:
-                local[seq] = entry * float(r1_bp.probs[seq]) / float(bp_entry)
-        else:
-            for seq in seqs:
-                local[seq] = entry / len(seqs)
+    order = sub.head_of[LEADER]
+    local = {seq: float(r1_bp.probs[seq])
+             for infoset in order for seq in tp1.actions_of(infoset)}
+    renormalize_flow(tp1, local, order, sub.heads[LEADER])
     return local
 
 
@@ -850,7 +825,7 @@ def _read_incumbent(game: GameTree, model: SubgameModel,
     for seq, var in model.r1_vars.items():
         local[seq] = float(np.clip(solution.assignment[var], 0.0, 1.0))
     # Scrub solver round-off so local flow is exact, heads at 1.
-    renormalize_flow(game.treeplex(LEADER), local, sub.top_down[LEADER],
+    renormalize_flow(game.treeplex(LEADER), local, sub.head_of[LEADER],
                      sub.heads[LEADER])
     recomputed = _incumbent_payoff(model, solution, local)
     if abs(recomputed - solution.objective) > 1e-6:

@@ -1,5 +1,5 @@
-"""Malformed `run` configs and `search` and `generate` arguments exit 2
-with an error line.
+"""Malformed `run` configs and `search`, `gadget` and `generate` arguments
+exit 2 with an error line.
 
 Exit 1 is what `run` keeps for a safety violation, so a bad input must
 neither end in a traceback (exit 1) nor run on a value it cannot honour.
@@ -24,12 +24,15 @@ def _run(tmp_path, document):
     return ["run", "--config", str(config), "--out", str(tmp_path / "o.csv")]
 
 
-def _search(tmp_path, *extra):
+def _with_plan(tmp_path, command, *extra):
+    """argv for a `search` or `gadget` on fig2 and its fixed blueprint."""
     game, plan = tmp_path / "game.json", tmp_path / "blueprint.json"
     assert main(["generate", "--family", "fig2", "--out", str(game)]) == 0
     assert main(["blueprint", "--game", str(game), "--method", "fixed",
                  "--out", str(plan)]) == 0
-    return ["search", "--game", str(game), "--blueprint", str(plan),
+    if command == "gadget":
+        extra = ("--subgame", "0", *extra)
+    return [command, "--game", str(game), "--blueprint", str(plan),
             "--out", str(tmp_path / "out"), *extra]
 
 
@@ -65,6 +68,9 @@ def _search(tmp_path, *extra):
     ("search", ["--time-limit-per-subgame=-1"], "time_limit_per_subgame"),
     ("search", ["--time-limit-per-subgame", "nan"], "time_limit_per_subgame"),
     ("search", ["--beta", "nan"], "beta"),
+    ("search", ["--beta", "inf"], "beta"),
+    ("gadget", ["--alpha", "1", "--beta", "inf"], "beta"),
+    ("run", json.dumps(GOOD_CONFIG)[:-1] + ', "beta": Infinity}', "beta"),
 ], ids=["config-not-object", "game-without-family", "alpha-string",
         "time-limit-string", "time-limit-nan", "full-game-string",
         "game-parameter-string", "game-parameter-bool", "unknown-key",
@@ -75,13 +81,14 @@ def _search(tmp_path, *extra):
         "generate-seed-negative-twostage",
         "search-workers-0",
         "search-time-limit-negative", "search-time-limit-nan",
-        "search-beta-nan"])
+        "search-beta-nan", "search-beta-inf", "gadget-beta-inf",
+        "run-beta-inf"])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, command,
                                                 given, key):
     if command == "run":
         argv = _run(tmp_path, given)
-    elif command == "search":
-        argv = _search(tmp_path, *given)
+    elif command in ("search", "gadget"):
+        argv = _with_plan(tmp_path, command, *given)
     else:
         argv = [command, *given, "--out", str(tmp_path / "game.json")]
     capsys.readouterr()

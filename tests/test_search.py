@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from stackelberg_search.blueprint import (
     fixed_blueprint,
+    make_blueprint,
     stage_sse_blueprint,
     uniform_blueprint,
 )
@@ -22,6 +25,7 @@ from stackelberg_search.games import (
     LeducSpec,
     TwoStageSpec,
     bounds_demo_game,
+    generate,
     goofspiel_game,
     kuhn_game,
     leduc_game,
@@ -346,6 +350,8 @@ def test_bounds_parameter_validation():
         pipeline(game, beta=0.5)
     with pytest.raises(GameError, match="beta"):
         pipeline(game, beta=float("nan"))
+    with pytest.raises(GameError, match="beta"):
+        pipeline(game, beta=float("inf"))
 
 
 def test_bounds_directions_match_trunk_on_random_games():
@@ -363,6 +369,49 @@ def test_bounds_directions_match_trunk_on_random_games():
                 assert value <= brvs.brv_inf[infoset] + 1e-9
             else:
                 assert value >= brvs.brv_inf[infoset] - 1e-9
+
+
+# (family, params, scheme, m, blueprint method)
+PINNED_BOUNDS_GAMES = (
+    [("leduc", {"n": 2}, "leduc", None, "zerosum"),
+     ("leduc", {"n": 2}, "leduc", None, "uniform"),
+     ("goofspiel", {"n": 3}, "goofspiel", 2, "zerosum"),
+     ("kuhn", {}, "whole-game", None, "zerosum"),
+     ("fig2", {}, "metadata", None, "fixed"),
+     ("fig3", {}, "metadata", None, "fixed"),
+     ("bounds-demo", {}, "metadata", None, "fixed")]
+    + [("twostage", {"seed": s}, "two-stage", None, "stage-sse")
+       for s in range(4)]
+    + [("random-small", {"seed": s}, "whole-game", None, "uniform")
+       for s in range(4)])
+PINNED_BOUNDS_DIGEST = (
+    "f7aaa380a595410b62a5bb1c2fdee6afebb31c812d3d6b794b0fe131a237516d")
+
+
+def test_bounds_and_trace_are_pinned():
+    """Every head bound and trace entry, bit for bit, over a grid of games,
+    blueprints, alpha and beta."""
+    digest = hashlib.sha256()
+    for family, params, scheme, m, method in PINNED_BOUNDS_GAMES:
+        game = generate(family, **params)
+        r1 = make_blueprint(game, method).plan
+        brvs = compute_brvs(game, r1)
+        r2, _, _ = best_response(game, r1, brvs)
+        trunk = compute_trunk(game, r2)
+        partition = partition_subgames(game, scheme, m=m)
+        for alpha in (0.0, 0.5, 1.0):
+            for beta in (1.0, 2.5):
+                bounds, trace = compute_bounds(game, brvs, trunk, partition,
+                                               alpha, beta)
+                maps = [(f"sub{index}", bounds[index].bounds)
+                        for index in sorted(bounds)]
+                maps += [("seq", trace.seq), ("infoset", trace.infoset)]
+                for kind, entries in maps:
+                    for key, (direction, value) in sorted(entries.items()):
+                        digest.update(
+                            f"{family}{params} {method} {alpha} {beta} {kind} "
+                            f"{key} {direction} {value.hex()}\n".encode())
+    assert digest.hexdigest() == PINNED_BOUNDS_DIGEST
 
 
 # ---------------------------------------------------------------------------

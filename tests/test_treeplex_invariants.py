@@ -1,8 +1,8 @@
 """Invariants of the sequence form that every top-down walk relies on.
 
 * ``Treeplex.infoset_ids`` is top-down: each infoset comes after the infoset
-  whose action leads to it, and ``Subgame.top_down`` is top-down within the
-  subgame.
+  whose action leads to it, and ``Subgame.head_of`` is top-down within the
+  subgame and maps each infoset to the head above it.
 * ``Treeplex.actions_of`` lists exactly an infoset's action sequences, by
   action index.
 * ``renormalize_flow`` leaves a plan whose flow already holds exactly
@@ -83,19 +83,27 @@ def test_infoset_ids_put_parents_first(case):
 
 
 def test_subgame_top_down_puts_parents_first(case):
+    """Subgame.head_of lists parents first and maps each infoset to the
+    head above it; the heads are exactly its fixed points."""
     game, partition = case
     for sub in partition:
         for player in (LEADER, FOLLOWER):
             tp = game.treeplex(player)
-            order = sub.top_down[player]
-            assert sorted(order) == list(sub.infosets[player])
-            position = {infoset: k for k, infoset in enumerate(order)}
-            for infoset in order:
+            head_of = sub.head_of[player]
+            assert sorted(head_of) == list(sub.infosets[player])
+            position = {infoset: k for k, infoset in enumerate(head_of)}
+            for infoset, head in head_of.items():
                 parent = _parent(tp, infoset)
                 if parent in position:
                     assert position[parent] < position[infoset]
+                    assert infoset not in sub.heads[player]
+                    assert head == head_of[parent]
                 else:
                     assert infoset in sub.heads[player]
+                    assert head == infoset
+            assert sub.heads[player] == tuple(sorted(
+                infoset for infoset, head in head_of.items()
+                if head == infoset))
 
 
 def test_actions_of_lists_child_sequences_by_index(case):
@@ -132,7 +140,7 @@ def test_renormalize_keeps_exact_local_plans(case):
         for sub in partition:
             local = blueprint_local_plan(game, sub, plan)
             scrubbed = dict(local)
-            renormalize_flow(tp1, scrubbed, sub.top_down[LEADER],
+            renormalize_flow(tp1, scrubbed, sub.head_of[LEADER],
                              sub.heads[LEADER])
             assert all(scrubbed[s].hex() == local[s].hex() for s in local)
 
