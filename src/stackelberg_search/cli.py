@@ -110,7 +110,8 @@ def cmd_blueprint(args) -> int:
     save_plan(blueprint.plan, args.out)
     ev = evaluate_leader(game, blueprint.plan)
     print(f"wrote {args.out}: {args.method} blueprint, "
-          f"leader EV vs best response {ev:.6f}")
+          f"leader EV vs best response {ev:.6f}, "
+          f"symmetries {blueprint.source['symmetries']}")
     return 0
 
 

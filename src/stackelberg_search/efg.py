@@ -18,6 +18,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -466,6 +468,128 @@ def payoff_tables(game: GameTree, u1: Optional[np.ndarray] = None,
         else:
             entry += g
     return table
+
+
+# ---------------------------------------------------------------------------
+# Symmetry
+
+
+class Automorphism(NamedTuple):
+    """A map of a game onto itself, as int arrays over ids: node[h] is the
+    image of node h, leader_seq[s] and follower_seq[s] of each player's
+    sequence s, and infoset[i] of information set i."""
+
+    node: np.ndarray
+    leader_seq: np.ndarray
+    follower_seq: np.ndarray
+    infoset: np.ndarray
+
+
+def automorphisms(game: GameTree, relabels: Iterable[dict[str, str]],
+                  u1: Optional[np.ndarray] = None) -> list[Automorphism]:
+    """The maps of relabellings of action and chance-outcome labels.
+
+    Each relabelling permutes labels; a label it leaves out maps to itself.
+    Its node map sends the root to itself and the child of h by label a to
+    the child of h's image by label relabel(a), one tree level at a time.
+    Raises GameError unless each map is an automorphism: one-to-one on the
+    nodes, keeping each node's player (CHANCE at chance nodes and leaves),
+    each leaf's chance reach, both players' payoffs and u1 (surrogate leader
+    payoffs over node ids, if given), and mapping every information set onto
+    one information set, so every sequence of either player onto one.
+    """
+    tp1, tp2 = game.treeplex(LEADER), game.treeplex(FOLLOWER)  # validates
+    nodes = game.nodes
+    n = len(nodes)
+    # One entry per edge h -> child, grouped by h in id order, with a code
+    # per label.
+    children = list(map(attrgetter("children"), nodes))
+    fan = np.fromiter(map(len, children), np.int64, n)
+    head = np.repeat(np.arange(n), fan)
+    m = len(head)
+    child = np.fromiter(chain.from_iterable(children), np.int64, m)
+    labels = list(chain.from_iterable(map(attrgetter("actions"), nodes)))
+    codes = {a: k for k, a in enumerate(dict.fromkeys(labels))}
+    label = np.fromiter(map(codes.__getitem__, labels), np.int64, m)
+    # The edges top-down, by the depth of their child.
+    parent = np.full(n, game.root)
+    parent[child] = head
+    depth, up = np.zeros(n, np.int64), parent
+    while np.any(up != game.root):
+        depth += up != game.root
+        up = parent[up]
+    top_down = np.argsort(depth[child], kind="stable")
+    levels = np.split(top_down,
+                      np.flatnonzero(np.diff(depth[child][top_down])) + 1)
+    # (head, label) of each edge as one sorted key.
+    by_key = np.argsort(head * len(codes) + label)
+    key = (head * len(codes) + label)[by_key]
+
+    # What a map must keep at each leaf: chance reach and payoffs.
+    ids, _, _, reach, leaf_u1, leaf_u2 = game.leaf_arrays()
+    columns = [reach, leaf_u1, leaf_u2]
+    if u1 is not None:
+        columns.append(np.asarray(u1, dtype=float)[ids])
+    at_leaf = np.full((n, len(columns)), np.nan)  # nan off the leaves
+    at_leaf[ids] = np.column_stack(columns)
+    members = list(map(attrgetter("members"), game.infosets))
+    infoset_of = np.full(n, -1, dtype=np.int64)
+    infoset_of[np.fromiter(chain.from_iterable(members), np.int64)] = \
+        np.repeat(np.arange(len(members)), list(map(len, members)))
+    player = np.fromiter(map(attrgetter("player"), nodes), np.int64, n)
+
+    maps = []
+    for relabel in relabels:
+        if sorted(relabel) != sorted(relabel.values()):
+            raise GameError("relabelling is not a permutation of its labels")
+        target = np.array([codes.get(relabel.get(a, a), -1) for a in codes])
+        node_map = np.full(n, -1, dtype=np.int64)
+        node_map[game.root] = game.root
+        for edges in levels:
+            want = node_map[head[edges]] * len(codes) + target[label[edges]]
+            at = np.minimum(np.searchsorted(key, want), m - 1)
+            bad = np.flatnonzero((key[at] != want)
+                                 | (target[label[edges]] < 0))
+            if bad.size:
+                h = head[edges[bad[0]]]
+                raise GameError(f"relabelling maps node {h}'s actions to "
+                                f"none of node {node_map[h]}'s")
+            node_map[child[edges]] = child[by_key[at]]
+        if not _is_permutation(node_map) or np.any(player[node_map] != player):
+            raise GameError("relabelling does not map the nodes one-to-one "
+                            "onto nodes of the same player")
+        bad = np.flatnonzero(np.any(at_leaf[node_map[ids]] != at_leaf[ids],
+                                    axis=1))
+        if bad.size:
+            raise GameError(f"relabelling changes the chance reach or the "
+                            f"payoffs of terminal {ids[bad[0]]}")
+        infoset_map = _induced_map(infoset_of, node_map, len(game.infosets))
+        leader_seq, follower_seq = (_induced_map(tp.node_seq, node_map,
+                                                 tp.n_sequences)
+                                    for tp in (tp1, tp2))
+        if infoset_map is None or leader_seq is None or follower_seq is None:
+            raise GameError("relabelling splits an information set")
+        maps.append(Automorphism(node_map, leader_seq, follower_seq,
+                                 infoset_map))
+    return maps
+
+
+def _is_permutation(ids: np.ndarray) -> bool:
+    return bool(np.all(ids >= 0)) and bool(
+        np.all(np.bincount(ids, minlength=len(ids)) == 1))
+
+
+def _induced_map(key: np.ndarray, node_map: np.ndarray,
+                 size: int) -> Optional[np.ndarray]:
+    """The permutation m of 0..size-1 with m[key[h]] = key[node_map[h]] at
+    every node h with key[h] >= 0, or None if there is none."""
+    at = np.flatnonzero(key >= 0)
+    mapped = np.full(size, -1, dtype=np.int64)
+    mapped[key[at]] = key[node_map[at]]
+    if np.array_equal(mapped[key[at]], key[node_map[at]]) \
+            and _is_permutation(mapped):
+        return mapped
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -637,6 +637,33 @@ def leduc_surrogate_payoffs(game: GameTree) -> np.ndarray:
     return out
 
 
+def declared_symmetries(game: GameTree) -> list[dict[str, str]]:
+    """The chance-outcome relabellings a game declares as automorphisms.
+
+    Leduc's payoffs read only ranks, so it declares one per rank k: swap
+    the two suits of that rank, as dealt (c{2k} <-> c{2k+1}) and as the
+    board (b{2k} <-> b{2k+1}).  They are derived from the metadata's name
+    and params, never stored, so a saved game's bytes do not carry them.
+    Every other game declares none.  efg.automorphisms checks a declared
+    relabelling before anything uses it.
+    """
+    if game.metadata.get("name") != "leduc":
+        return []
+    params = game.metadata.get("params")
+    n = params.get("n") if isinstance(params, dict) else None
+    if not isinstance(n, int) or n < 2:
+        raise GameError(f"leduc metadata names no rank count params.n "
+                        f"(got {n!r})")
+    swaps = []
+    for k in range(n):
+        swap = {}
+        for kind in "cb":
+            low, high = f"{kind}{2 * k}", f"{kind}{2 * k + 1}"
+            swap[low], swap[high] = high, low
+        swaps.append(swap)
+    return swaps
+
+
 # ---------------------------------------------------------------------------
 # Random small games for oracle cross-checks
 

@@ -147,7 +147,7 @@ def test_joint_reach_rows_tighten_the_leduc_root_bound(leduc3, index,
 
 
 def test_every_leduc_model_closes_at_the_root(monkeypatch, leduc3):
-    assert len(leduc3) == 48
+    assert len(leduc3) == 54
     monkeypatch.setattr(solver, "milp", _forbid_milp)
     _closed_at_the_root(leduc3, leduc3)
 

@@ -53,7 +53,7 @@ def _two_stage(seed):
 
 
 # name -> (game, blueprint and partition maker, reachable subgames)
-CASES = {"leduc-n3-zerosum": (_leduc, 48),
+CASES = {"leduc-n3-zerosum": (_leduc, 54),
          "goofspiel-n4-m3-zerosum": (_goofspiel, 16),
          **{f"twostage-seed{seed}": (lambda seed=seed: _two_stage(seed), n)
             for seed, n in enumerate((4, 8, 4, 8, 4, 4))}}

@@ -385,7 +385,7 @@ PINNED_BOUNDS_GAMES = (
     + [("random-small", {"seed": s}, "whole-game", None, "uniform")
        for s in range(4)])
 PINNED_BOUNDS_DIGEST = (
-    "f7aaa380a595410b62a5bb1c2fdee6afebb31c812d3d6b794b0fe131a237516d")
+    "1447ec8099dcc15d26ef62074d36a75f0321190d94cf693a5236feb024b23141")
 
 
 def test_bounds_and_trace_are_pinned():

@@ -41,10 +41,11 @@ from stackelberg_search.solver import (
     fingerprint,
 )
 
-# Suit-mirrored public states of Leduc n=3 (rho 0.1, zero-sum blueprint).
-LEDUC3_TWINS = [(0, 1), (4, 5), (6, 7), (8, 9), (12, 13), (14, 15), (16, 17),
-                (20, 21), (30, 31), (32, 33), (34, 35), (36, 37), (38, 39),
-                (40, 41), (60, 61), (62, 63), (64, 65)]
+# Suit-mirrored public states of Leduc n=3 (rho 0.1, zero-sum blueprint):
+# the blueprint plays mirrored sequences alike, so each of the 54 reachable
+# subgames (all but 48-59) pairs with its suit mirror.
+LEDUC3_TWINS = [(k, k + 1) for k in range(0, 48, 2)] + [(60, 61), (62, 63),
+                                                         (64, 65)]
 
 
 def _models(game, blueprint, partition):
@@ -70,7 +71,7 @@ def _twin_pairs(models):
     return pairs
 
 
-def test_leduc_n3_zero_sum_models_form_the_seventeen_mirror_pairs():
+def test_leduc_n3_zero_sum_models_form_the_twenty_seven_mirror_pairs():
     game = leduc_game(LeducSpec(n=3, rho=0.1))
     blueprint = make_blueprint(game, "zerosum").plan
     partition = partition_subgames(game, "leduc")
