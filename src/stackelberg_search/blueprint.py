@@ -15,6 +15,7 @@ Four sources:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
@@ -172,13 +173,14 @@ def _add(coeffs: dict[int, float], var: int, value: float) -> None:
 
 def stage_sse_blueprint(game: GameTree) -> Blueprint:
     """Commit to the first-stage matrix SSE; play uniformly afterwards."""
-    if game.metadata.get("name") != "two-stage":
+    root = game.node(game.root)
+    if game.metadata.get("name") != "two-stage" or root.player != LEADER:
         raise GameError("stage blueprint requires a two-stage game")
-    a1 = np.array(game.metadata["stage1_leader"])
-    a2 = np.array(game.metadata["stage1_follower"])
+    shape = (len(root.actions), len(game.node(root.children[0]).actions))
+    a1, a2 = (_stage1_matrix(game, key, shape)
+              for key in ("stage1_leader", "stage1_follower"))
     x, value, chosen = sse_of_matrix_game(a1, a2)
 
-    root = game.node(game.root)
     probs: dict[int, np.ndarray] = {root.infoset: x}
     for infoset in game.player_infosets(LEADER):
         if infoset.id != root.infoset:
@@ -191,6 +193,21 @@ def stage_sse_blueprint(game: GameTree) -> Blueprint:
         "stage1_value": value,
         "stage1_follower_action": chosen,
     })
+
+
+def _stage1_matrix(game: GameTree, key: str,
+                   shape: tuple[int, int]) -> np.ndarray:
+    """The metadata's stage-1 payoff matrix under key: one row per leader
+    action at the root and one column per follower action below it."""
+    raw = game.metadata.get(key)
+    rows, cols = shape
+    if not (isinstance(raw, list) and len(raw) == rows and all(
+            isinstance(row, list) and len(row) == cols and all(
+                type(v) in (int, float) and math.isfinite(v) for v in row)
+            for row in raw)):
+        raise GameError(f"metadata {key} must be a {rows}x{cols} matrix of "
+                        f"finite numbers, not {raw!r}")
+    return np.array(raw, dtype=np.float64)
 
 
 def sse_of_matrix_game(u1: np.ndarray, u2: np.ndarray,
@@ -230,18 +247,30 @@ def uniform_blueprint(game: GameTree) -> Blueprint:
 
 
 def fixed_blueprint(game: GameTree) -> Blueprint:
-    """The pure leader plan named by the game's metadata."""
+    """The pure leader plan named by the game's metadata: blueprint_actions
+    maps leader infoset ids (as strings) to action indices, and an infoset
+    it leaves out plays uniformly."""
     actions = game.metadata.get("blueprint_actions")
     if actions is None:
-        raise GameError("game metadata bundles no blueprint")
+        raise GameError("game metadata bundles no blueprint_actions")
+    if not isinstance(actions, dict):
+        raise GameError(f"metadata blueprint_actions must be an object, not "
+                        f"{actions!r}")
+    infosets = {str(infoset.id): infoset
+                for infoset in game.player_infosets(LEADER)}
+    for key, choice in actions.items():
+        if not (key in infosets and type(choice) is int
+                and 0 <= choice < len(infosets[key].actions)):
+            raise GameError(f"metadata blueprint_actions: bad entry {key!r}: "
+                            f"{choice!r} (keys are leader infoset ids, "
+                            f"values their action indices)")
     probs: dict[int, np.ndarray] = {}
-    for infoset in game.player_infosets(LEADER):
+    for key, infoset in infosets.items():
         dist = np.zeros(len(infoset.actions))
-        choice = actions.get(str(infoset.id))
-        if choice is None:
-            dist[:] = 1.0 / len(infoset.actions)
+        if key in actions:
+            dist[actions[key]] = 1.0
         else:
-            dist[int(choice)] = 1.0
+            dist[:] = 1.0 / len(infoset.actions)
         probs[infoset.id] = dist
     plan = behavioral_to_realization(game, BehavioralStrategy(LEADER, probs))
     return Blueprint(plan, "Fixed", {"game": game.metadata.get("name", "?")})

@@ -46,12 +46,7 @@ from stackelberg_search.search import (
     reuse_solution,
     solve_subgame,
 )
-from stackelberg_search.solver import (
-    Fingerprint,
-    MilpSolution,
-    SolverError,
-    fingerprint,
-)
+from stackelberg_search.solver import MilpSolution, SolverError, fingerprint
 
 SAFETY_TOL = 1e-6
 
@@ -138,14 +133,15 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
     also fall back to the blueprint there, which is what makes the whole
     procedure never worse than not searching.
 
-    Subgames whose models match an earlier subgame's (solver.fingerprint,
-    as suit-mirrored Leduc states do) take that twin's solution instead of
-    a solve, once it passes their own model's checks (reuse_solution);
-    otherwise they are solved like any other.  Models are built and matched
-    in index order in the calling thread, so each group's representative
-    is its lowest index whatever `workers` is; with one worker one model is
-    alive at a time.  A twin whose representative is still solving does
-    not hold a worker: it is settled once the pool drains.
+    Subgames whose models equal an earlier subgame's bit for bit (the same
+    solver.fingerprint digest, as suit-mirrored Leduc states have) take
+    that twin's solution instead of a solve, once it passes their own
+    model's checks (reuse_solution); otherwise they are solved like any
+    other.  Models are built and matched in index order in the calling
+    thread, so each group's representative is its lowest index whatever
+    `workers` is; with one worker one model is alive at a time.  A twin
+    whose representative is still solving does not hold a worker: it is
+    settled once the pool drains.
 
     `brvs`, the blueprint's best-response values when the caller has
     them, are used instead of computed again (see prepare_search).
@@ -153,37 +149,32 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
     context = prepare_search(game, blueprint, partition, alpha, beta,
                              brvs=brvs)
     quantities, bounds = context.quantities, context.bounds
-    representatives: dict[bytes, list[tuple[int, Fingerprint]]] = {}
+    representatives: dict[bytes, int] = {}
     # Only the calling thread reads or writes representatives.  Workers
     # share finished without a lock: each key is set once, after its solve
     # returns, and a dict store or lookup is atomic.
     finished: dict[int, SubgameSolution] = {}
 
     def classify(sub):
-        """A skipped subgame's solution, or (model, twin, difference): the
-        lowest-index subgame whose model matches and the largest difference
-        between their numbers, twin None for a representative."""
+        """A skipped subgame's solution, or (model, twin): the lowest-index
+        subgame whose model has the same digest, None for a
+        representative."""
         q = quantities[sub.index]
         if q.eta is None:
             return keep_blueprint(game, sub, blueprint, MilpSolution(
                 SKIPPED_UNREACHABLE, 0.0, None, 0.0, 0.0))
         model = build_constrained_milp(game, sub, q, bounds[sub.index],
                                        context.brvs)
-        print_ = fingerprint(model.problem, model.warm)
-        group = representatives.setdefault(print_.structure, [])
-        for twin, other in group:
-            difference = other.difference(print_)
-            if difference is not None:
-                return model, twin, difference
-        group.append((sub.index, print_))
-        return model, None, 0.0
+        twin = representatives.setdefault(
+            fingerprint(model.problem, model.warm), sub.index)
+        return model, None if twin == sub.index else twin
 
     def solve(job):
         """Solve a representative, settle a twin whose representative has
         finished, and pass any other twin on unchanged."""
         if isinstance(job, SubgameSolution):
             return job
-        model, twin, _ = job
+        model, twin = job
         if twin is None:
             solution = solve_subgame(game, model, blueprint,
                                      time_limit=time_limit)
@@ -196,7 +187,7 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
         twin's checks, else its own solve."""
         if isinstance(job, SubgameSolution):
             return job
-        model, twin, difference = job
+        model, twin = job
         index = model.subgame.index
         solution = reuse_solution(game, model, finished[twin])
         if solution is None:
@@ -204,8 +195,8 @@ def safe_search(game: GameTree, blueprint: RealizationPlan,
                          "checks", index, twin)
             return solve_subgame(game, model, blueprint,
                                  time_limit=time_limit)
-        logger.debug("subgame %d reuses the solution of its twin %d "
-                     "(largest difference %.3g)", index, twin, difference)
+        logger.debug("subgame %d reuses the solution of its twin %d",
+                     index, twin)
         return solution
 
     # Executor.map and the builtin map both pull their input in the calling

@@ -120,24 +120,13 @@ def best_response(game: GameTree, r_leader: RealizationPlan,
     return plan, brvs.root_follower_value, brvs.root_leader_value
 
 
-@dataclass
-class Trunk:
-    """Follower infosets reached with probability 1 under the best response."""
-
-    infosets: frozenset[int]
-    plan: RealizationPlan
-
-    def __contains__(self, infoset_id: int) -> bool:
-        return infoset_id in self.infosets
-
-
-def compute_trunk(game: GameTree, r_2bp: RealizationPlan) -> Trunk:
+def compute_trunk(game: GameTree, r_2bp: RealizationPlan) -> frozenset[int]:
+    """The follower infosets the pure plan r_2bp reaches with probability 1."""
     tp2 = game.treeplex(FOLLOWER)
     r_2bp.check_flow(tp2)
     if not r_2bp.is_pure():
         raise GameError("trunk is defined for pure follower plans only")
-    members = frozenset(
+    return frozenset(
         infoset for infoset in tp2.infoset_ids
         if r_2bp.probs[tp2.entry_seq[infoset]] > 0.5
     )
-    return Trunk(members, r_2bp)

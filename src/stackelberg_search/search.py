@@ -47,7 +47,6 @@ from stackelberg_search.efg import (
 from stackelberg_search.response import (
     NEG_INF,
     BrvTable,
-    Trunk,
     best_response,
     compute_brvs,
     compute_trunk,
@@ -369,7 +368,7 @@ class BoundsTrace:
     infoset: dict[int, tuple[str, float]] = field(default_factory=dict)
 
 
-def compute_bounds(game: GameTree, brvs: BrvTable, trunk: Trunk,
+def compute_bounds(game: GameTree, brvs: BrvTable, trunk: frozenset[int],
                    partition: SubgamePartition, alpha: float = 0.5,
                    beta: float = 1.0,
                    ) -> tuple[dict[int, BoundsMap], BoundsTrace]:

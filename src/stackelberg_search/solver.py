@@ -32,9 +32,6 @@ from scipy.optimize._highspy import _core as highs
 
 FEAS_TOL = 1e-6
 GAP_TOL = 1e-6
-# Two fingerprints match when every number agrees to within this, relative
-# to max(1, |number|).
-TWIN_TOL = 1e-12
 
 OPTIMAL = "Optimal"
 INCUMBENT_TIME_LIMIT = "IncumbentTimeLimit"
@@ -224,51 +221,28 @@ class MilpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Model fingerprints and assignment checks
+# Model digests and assignment checks
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """A MILP and its warm start, reduced to what decides the solve.
+def fingerprint(problem: MilpProblem, warm: np.ndarray) -> bytes:
+    """A sha256 digest of a MILP and its warm start, taken in build order.
 
-    structure digests what must match exactly: the counts, the binaries,
-    the coordinate matrix's rows and columns, the relations, which column
-    bounds are infinite (and their sign) and the warm start.  numbers holds
-    the objective, the coefficients, the right-hand sides and the finite
-    column bounds (an infinite one as 0).  Both are taken in build order,
-    so twins must be built with their columns and rows in the same order;
-    search.build_constrained_milp owns that order.
+    It covers the counts, the binaries, the coordinate matrix's rows,
+    columns and coefficients, the relations, the right-hand sides, the
+    objective, both column-bound arrays (infinities included) and the warm
+    start, so two models share a digest only when they are equal bit for
+    bit, -0.0 and 0.0 alike.  Twins must be built with their columns and
+    rows in the same order; search.build_constrained_milp owns that order.
     """
-
-    structure: bytes
-    numbers: np.ndarray
-
-    def difference(self, other: "Fingerprint") -> Optional[float]:
-        """The largest absolute difference between the numbers of two
-        matching fingerprints; None when they do not match."""
-        if self.structure != other.structure:
-            return None
-        diff = np.abs(self.numbers - other.numbers)
-        if np.any(diff > TWIN_TOL * np.maximum(1.0, np.abs(self.numbers))):
-            return None
-        return float(diff.max(initial=0.0))
-
-
-def fingerprint(problem: MilpProblem, warm: np.ndarray) -> Fingerprint:
     lp = problem.lp
     digest = hashlib.sha256()
     for part in ([lp.n_vars, len(lp.rhs), len(lp.coef), len(problem.binaries)],
                  problem.binaries, lp.row, lp.col):
         digest.update(np.asarray(part, dtype=np.int64).tobytes())
     digest.update("".join(lp.relation).encode())
-    bounds = np.asarray([lp.lower, lp.upper], dtype=np.float64)
-    infinite = np.isinf(bounds)
-    for part in (np.where(infinite, bounds, 0.0), warm):
-        digest.update(np.asarray(part, dtype=np.float64).tobytes())
-    numbers = np.concatenate([np.asarray(part, dtype=np.float64)
-                              for part in (lp.objective, lp.coef, lp.rhs)]
-                             + [np.where(infinite, 0.0, bounds).ravel()])
-    return Fingerprint(digest.digest(), numbers)
+    for part in (lp.objective, lp.coef, lp.rhs, lp.lower, lp.upper, warm):
+        digest.update((np.asarray(part, dtype=np.float64) + 0.0).tobytes())
+    return digest.digest()
 
 
 def satisfies(problem: MilpProblem, x: np.ndarray) -> bool:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from stackelberg_search.blueprint import (
     uniform_blueprint,
     zero_sum_blueprint,
 )
+from stackelberg_search.cli import main
 from stackelberg_search.efg import FOLLOWER, LEADER, GameError, expected_payoffs
 from stackelberg_search.games import (
     GoofspielSpec,
@@ -125,3 +128,49 @@ def test_make_blueprint_dispatch():
     assert make_blueprint(game, "uniform").provenance == "Uniform"
     with pytest.raises(GameError, match="unknown blueprint"):
         make_blueprint(game, "cfr")
+
+
+@pytest.mark.parametrize("actions, needle", [
+    ({"2": -1}, "'2': -1"),
+    ({"2": 0.7}, "'2': 0.7"),
+    ({"2": True}, "'2': True"),
+    ({"2": 5}, "'2': 5"),
+    ({"2": "x"}, "'2': 'x'"),
+    ({"99": 0}, "'99': 0"),
+    ([0, 0], "must be an object"),
+    (None, ""),
+])
+def test_fixed_blueprint_refuses_bad_actions(actions, needle):
+    game = two_subgame_exit_game()
+    game.metadata["blueprint_actions"] = actions
+    with pytest.raises(GameError, match=f"blueprint_actions.*{needle}"):
+        fixed_blueprint(game)
+
+
+def test_cli_reports_a_bad_bundled_blueprint_and_exits_2(tmp_path, capsys):
+    game_path = tmp_path / "game.json"
+    assert main(["generate", "--family", "fig2", "--out", str(game_path)]) == 0
+    doc = json.loads(game_path.read_text())
+    doc["metadata"]["blueprint_actions"] = {"2": 5}
+    game_path.write_text(json.dumps(doc))
+    assert main(["blueprint", "--game", str(game_path), "--method", "fixed",
+                 "--out", str(tmp_path / "plan.json")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: metadata blueprint_actions: bad entry '2': 5")
+
+
+@pytest.mark.parametrize("key, matrix", [
+    ("stage1_leader", [[1.0] * 3] * 3),
+    ("stage1_follower", [[1.0, 2.0], [3.0]]),
+    ("stage1_leader", [[1.0, "x"], [0.0, 1.0]]),
+    ("stage1_follower", [[1.0, float("nan")], [0.0, 1.0]]),
+    ("stage1_leader", None),
+])
+def test_stage_blueprint_refuses_a_bad_stage1_matrix(key, matrix):
+    game = two_stage_game(TwoStageSpec(n=2, M=2, m=2, kappa=0.1, seed=7))
+    if matrix is None:
+        del game.metadata[key]
+    else:
+        game.metadata[key] = matrix
+    with pytest.raises(GameError, match=f"metadata {key} must be a 2x2"):
+        stage_sse_blueprint(game)

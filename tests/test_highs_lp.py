@@ -7,6 +7,8 @@ test_highs_milp.py checks the MIP seam the same way.
 
 * The binding has every method and field solver.py uses; there is no
   fallback path, so a scipy without them must fail here, loudly.
+* pyproject.toml's Python floor is not below the installed scipy's, so an
+  install at the floor can resolve scipy.
 * The seam returns the vertex scipy's public ``linprog(method="highs")``
   returns on the same rows, bit for bit: on every reachable Leduc
   n=2 subgame model (its root LP and its warm start's fixed-binary LP,
@@ -18,6 +20,8 @@ test_highs_milp.py checks the MIP seam the same way.
 
 from __future__ import annotations
 
+import importlib.metadata
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,7 @@ from stackelberg_search.solver import (
     solve_lp,
 )
 
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SCIPY_FLOOR = "scipy>=1.17"
 # What solver.py reads of the binding.
 HIGHS_METHODS = ("passOptions", "passModel", "changeColsBounds",
@@ -65,8 +70,7 @@ FIELDS = {
 
 
 def test_the_binding_has_everything_the_solver_calls():
-    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    assert f'"{SCIPY_FLOOR}"' in pyproject.read_text(encoding="utf-8")
+    assert f'"{SCIPY_FLOOR}"' in PYPROJECT.read_text(encoding="utf-8")
     missing = [name for name in HIGHS_METHODS
                if not callable(getattr(highs._Highs, name, None))]
     missing += [f"{kind.__name__}.{name}"
@@ -81,6 +85,21 @@ def test_the_binding_has_everything_the_solver_calls():
     assert hasattr(highs.MatrixFormat, "kColwise")
     assert hasattr(highs.HighsStatus, "kError")
     assert hasattr(highs, "kSolutionStatusFeasible")
+
+
+def _python_floor(spec: str) -> tuple[int, ...]:
+    """The version a requires-python specifier's ">=" clause names."""
+    (floor,) = [part.strip()[2:] for part in spec.split(",")
+                if part.strip().startswith(">=")]
+    return tuple(int(part) for part in floor.split("."))
+
+
+def test_the_python_floor_is_not_below_scipys():
+    with PYPROJECT.open("rb") as handle:
+        ours = tomllib.load(handle)["project"]["requires-python"]
+    theirs = importlib.metadata.metadata("scipy")["Requires-Python"]
+    assert _python_floor(ours) >= _python_floor(theirs), \
+        f"pyproject.toml requires-python {ours}, scipy {theirs}"
 
 
 def _scipy_lp(problem: MilpProblem, lower, upper):

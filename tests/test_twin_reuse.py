@@ -1,9 +1,9 @@
 """Subgames whose MILPs match an earlier subgame's reuse its solution.
 
-safe_search fingerprints every subgame model; a model that matches a lower
-subgame's (equal structure, numbers within solver.TWIN_TOL) takes that
-twin's solution once it passes the model's own feasibility, bound and
-payoff checks, and is solved on its own otherwise.
+safe_search digests every subgame model (solver.fingerprint); a model
+whose digest equals a lower subgame's takes that twin's solution once it
+passes the model's own feasibility, bound and payoff checks, and is solved
+on its own otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +24,12 @@ from stackelberg_search.blueprint import (
 )
 from stackelberg_search.cli import main
 from stackelberg_search.efg import FOLLOWER, LEADER, TreeBuilder
-from stackelberg_search.games import LeducSpec, leduc_game, shared_exit_game
+from stackelberg_search.games import (
+    LeducSpec,
+    generate,
+    leduc_game,
+    shared_exit_game,
+)
 from stackelberg_search.harness import safe_search
 from stackelberg_search.search import (
     SubgameSolution,
@@ -59,15 +64,13 @@ def _models(game, blueprint, partition):
 
 
 def _twin_pairs(models):
-    representatives, pairs = [], []
+    representatives, pairs = {}, []
     for model in models:
-        print_ = fingerprint(model.problem, model.warm)
-        twin = next((j for j, other in representatives
-                     if other.difference(print_) is not None), None)
-        if twin is None:
-            representatives.append((model.subgame.index, print_))
-        else:
-            pairs.append((twin, model.subgame.index))
+        index = model.subgame.index
+        twin = representatives.setdefault(
+            fingerprint(model.problem, model.warm), index)
+        if twin != index:
+            pairs.append((twin, index))
     return pairs
 
 
@@ -76,6 +79,20 @@ def test_leduc_n3_zero_sum_models_form_the_twenty_seven_mirror_pairs():
     blueprint = make_blueprint(game, "zerosum").plan
     partition = partition_subgames(game, "leduc")
     assert _twin_pairs(_models(game, blueprint, partition)) == LEDUC3_TWINS
+
+
+# Twins found per input, pinned so that a build-order change that splits a
+# mirror pair shows.
+@pytest.mark.parametrize("family, params, method, m, twins", [
+    ("leduc", {"n": 2, "rho": 0.1}, "uniform", None, 22),
+    ("goofspiel", {"n": 4}, "zerosum", 2, 13),
+    ("goofspiel", {"n": 3}, "uniform", 2, 3),
+], ids=["leduc2-uniform", "goofspiel4-m2-zerosum", "goofspiel3-m2-uniform"])
+def test_twin_counts(family, params, method, m, twins):
+    game = generate(family, **params)
+    blueprint = make_blueprint(game, method).plan
+    partition = partition_subgames(game, family, m=m)
+    assert len(_twin_pairs(_models(game, blueprint, partition))) == twins
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +211,7 @@ def test_shared_exit_twin_is_reused_and_logged(shared_exit, monkeypatch,
     assert second.status == first.status == OPTIMAL
     assert second.objective == pytest.approx(first.objective, abs=1e-12)
     assert [r.getMessage() for r in caplog.records] == [
-        "subgame 1 reuses the solution of its twin 0 (largest difference 0)"]
+        "subgame 1 reuses the solution of its twin 0"]
 
 
 def test_perturbed_bound_is_solved_on_its_own(shared_exit, monkeypatch):
@@ -223,46 +240,36 @@ def _bounded_v(model):
     return var, lp.lower if np.isfinite(lp.lower[var]) else lp.upper
 
 
-def _difference(first, second):
-    return fingerprint(first.problem, first.warm).difference(
-        fingerprint(second.problem, second.warm))
+def _same_digest(first, second):
+    return fingerprint(first.problem, first.warm) == \
+        fingerprint(second.problem, second.warm)
 
 
-@pytest.mark.parametrize("values", [(1e-16, -1e-16), (0.0, -0.0)])
-def test_head_bounds_a_round_off_apart_across_zero_still_match(shared_exit,
-                                                               values):
+def test_head_bounds_of_zero_and_minus_zero_have_equal_digests(shared_exit):
     game, blueprint, partition = shared_exit
     models = list(_models(game, blueprint, partition))
-    for model, value in zip(models, values):
+    for model, value in zip(models, (0.0, -0.0)):
         var, side = _bounded_v(model)
         side[var] = value
-    assert _difference(*models) == pytest.approx(abs(values[0] - values[1]),
-                                                 abs=1e-30)
+    assert _same_digest(*models)
 
 
 def test_finite_bound_never_matches_an_infinite_one(shared_exit):
     game, blueprint, partition = shared_exit
     first, second = _models(game, blueprint, partition)
-    # A finite bound of 0 enters the numbers as an infinite one does (as 0),
-    # so only the structure can tell them apart.
     var, side = _bounded_v(first)
     side[var] = 0.0
     var, side = _bounded_v(second)
     side[var] = -np.inf if side is second.problem.lp.lower else np.inf
-    assert _difference(first, second) is None
-    assert _difference(second, first) is None
+    assert not _same_digest(first, second)
 
 
-def test_fingerprint_difference_stays_finite_with_infinite_bounds(
-        shared_exit):
+def test_twins_with_infinite_bounds_have_equal_digests(shared_exit):
     game, blueprint, partition = shared_exit
     first, second = _models(game, blueprint, partition)
     lp = first.problem.lp
     assert np.isinf(lp.lower + lp.upper).any()
-    print_ = fingerprint(first.problem, first.warm)
-    assert np.all(np.isfinite(print_.numbers))
-    assert _difference(first, second) == 0.0
-    assert print_.difference(print_) == 0.0
+    assert _same_digest(first, second)
 
 
 def test_twin_of_a_fallback_is_solved_on_its_own(shared_exit, monkeypatch):
