@@ -10,6 +10,16 @@ incumbents, and binaries that come back exactly 0 or 1.  HiGHS is
 deterministic, so two runs on the same problem produce the same solution
 whenever no time limit truncates the search.
 
+The MIP runs at a relative gap of GAP_TOL and without three of HiGHS's
+primal heuristics: the RINS and RENS sub-MIPs and feasibility jump.  A
+subgame MILP is small (Goofspiel n=4 m=3 subgames keep 63 binaries after
+presolve) and its root bound is often the optimum already, so those
+heuristics spent most of the MIP time there while the tree search alone
+reaches the same optimum.  Under a time limit they can hold a better
+incumbent at the cap, so a capped search may return a slightly different
+plan.  A cold MIP still gets its first incumbent from HiGHS's root
+rounding or its tree; a warm start gives solve_milp one before HiGHS runs.
+
 A LinearProgram keeps its constraints as one coordinate matrix.  A
 MilpProblem assembles them once into HiGHS's rows, lower <= A x <= upper,
 which its model, its solves and satisfies() (the one check an incumbent
@@ -57,7 +67,7 @@ class LinearProgram:
     matrix in insertion order: entry k puts coef[k] at (row[k], col[k]), so
     each row's entries are contiguous and in the order they were added.
     Each row also has a relation ("<=", ">=" or "=="), a right-hand side
-    and a name.  Coefficients are checked for finiteness when a MilpProblem
+    and a name.  The numbers are checked for finiteness when a MilpProblem
     assembles them, not here.
     """
 
@@ -135,14 +145,24 @@ class MilpProblem:
 
     @cached_property
     def _rows(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-        """(A, lower, upper), A a CSR matrix."""
+        """(A, lower, upper), A a CSR matrix.  Every solve and check reads
+        this first, so the LP's numbers are checked here: coefficients,
+        right-hand sides and the objective must be finite, and column
+        bounds must not be NaN (an infinite bound is legal)."""
         lp = self.lp
         row = np.asarray(lp.row, dtype=np.intp)
         coef = np.asarray(lp.coef, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(coef))
-        if bad.size:
-            raise SolverError(f"constraint {lp.row_names[row[bad[0]]]!r}: "
-                              f"non-finite coefficient")
+        rhs = np.asarray(lp.rhs, dtype=np.float64)
+        _refuse("constraint", lp.row_names, row[~np.isfinite(coef)],
+                "non-finite coefficient")
+        _refuse("constraint", lp.row_names, np.flatnonzero(~np.isfinite(rhs)),
+                "non-finite right-hand side")
+        _refuse("variable", lp.names,
+                np.flatnonzero(~np.isfinite(lp.objective)),
+                "non-finite objective")
+        _refuse("variable", lp.names,
+                np.flatnonzero(np.isnan(lp.lower) | np.isnan(lp.upper)),
+                "NaN bound")
         relation = np.asarray(lp.relation, dtype="U2")
         sign = np.where(relation == ">=", -1.0, 1.0)
         order = np.argsort(relation == "==", kind="stable")
@@ -150,7 +170,7 @@ class MilpProblem:
         matrix = sp.csr_matrix(
             (sign[row] * coef, (position[row], np.asarray(lp.col, np.intp))),
             shape=(len(order), lp.n_vars))
-        upper = (sign * np.asarray(lp.rhs, dtype=np.float64))[order]
+        upper = (sign * rhs)[order]
         lower = np.where(relation[order] == "==", upper, -np.inf)
         return matrix, lower, upper
 
@@ -178,6 +198,12 @@ class MilpProblem:
         options.presolve = "on"
         options.simplex_strategy = 1    # dual simplex
         options.mip_rel_gap = GAP_TOL
+        # Branch and cut without the RINS and RENS sub-MIPs and
+        # feasibility jump, which cost most of a subgame's MIP time
+        # (module docstring).
+        options.mip_heuristic_run_rins = False
+        options.mip_heuristic_run_rens = False
+        options.mip_heuristic_run_feasibility_jump = False
         options.output_flag = options.log_to_console = False
         if solver.passOptions(options) == highs.HighsStatus.kError or \
                 solver.passModel(model) == highs.HighsStatus.kError:
@@ -194,6 +220,13 @@ class MilpProblem:
             for var in self.binaries:
                 lower[var] = upper[var] = round(float(pattern[var]))
         return linprog(self._highs, lower, upper)
+
+
+def _refuse(kind: str, names: list[str], bad: np.ndarray,
+            message: str) -> None:
+    """Raise a SolverError naming the first of the bad rows or columns."""
+    if bad.size:
+        raise SolverError(f"{kind} {names[bad[0]]!r}: {message}")
 
 
 @dataclass

@@ -15,6 +15,7 @@
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from stackelberg_search import solver
 from stackelberg_search.blueprint import make_blueprint
 from stackelberg_search.games import generate
+from stackelberg_search.harness import ExperimentConfig, run_single
 from stackelberg_search.search import (
     build_constrained_milp,
     partition_subgames,
@@ -36,6 +38,10 @@ from stackelberg_search.solver import (
     solve_lp,
     solve_milp,
 )
+
+# The HiGHS MIP heuristics every model runs without.
+HEURISTICS_OFF = ("mip_heuristic_run_rins", "mip_heuristic_run_rens",
+                  "mip_heuristic_run_feasibility_jump")
 
 
 def _models(family, method="zerosum", **kwargs):
@@ -191,17 +197,22 @@ def test_returned_binaries_are_exactly_zero_or_one(request, family, index,
 
 
 def _scipy_milp(problem):
-    """scipy's milp on the problem's rows, as one LinearConstraint."""
+    """scipy's milp on the problem's rows, as one LinearConstraint, with the
+    model's MIP options.  scipy passes the three heuristic switches to
+    HiGHS verbatim and warns that it does not know them."""
     matrix, lower, upper = problem._rows
     integrality = np.zeros(problem.lp.n_vars)
     integrality[list(problem.binaries)] = 1
-    return milp(-np.asarray(problem.lp.objective), integrality=integrality,
-                bounds=Bounds(problem.lp.lower, problem.lp.upper),
-                constraints=LinearConstraint(matrix, lower, upper),
-                options={"mip_rel_gap": solver.GAP_TOL})
+    with pytest.warns(RuntimeWarning, match="Unrecognized options detected"):
+        return milp(-np.asarray(problem.lp.objective),
+                    integrality=integrality,
+                    bounds=Bounds(problem.lp.lower, problem.lp.upper),
+                    constraints=LinearConstraint(matrix, lower, upper),
+                    options={"mip_rel_gap": solver.GAP_TOL,
+                             **{name: False for name in HEURISTICS_OFF}})
 
 
-@pytest.mark.parametrize("index,nodes", [(22, 4), (43, 1), (60, 8)])
+@pytest.mark.parametrize("index,nodes", [(22, 4), (43, 4), (60, 8)])
 def test_mip_seam_matches_scipy_milp_bit_for_bit(goofspiel, index, nodes):
     problem = goofspiel(index).problem
     status, x, dual_bound, mip_nodes = solver.milp(
@@ -250,3 +261,71 @@ def test_a_cap_holds_on_a_model_that_has_run_lps(leduc_uniform, milp_calls):
     assert capped.status == INCUMBENT_TIME_LIMIT
     assert len(milp_calls) == 1
     assert capped.wall_time <= cap + 1.0
+
+
+def _mip_settings(model):
+    return [model.getOptionValue(name)[1]
+            for name in ("mip_rel_gap", *HEURISTICS_OFF)]
+
+
+def test_highs_knows_the_heuristic_switches():
+    """A HiGHS that renamed a switch would fail here, not run with it on."""
+    options = solver.highs.HighsOptions()
+    assert [getattr(options, name) for name in HEURISTICS_OFF] == \
+        [True, True, True]    # HiGHS's defaults, which every model turns off
+
+
+def test_every_mip_runs_with_the_settings_and_keeps_them(monkeypatch,
+                                                         goofspiel):
+    """Before and after each solver.milp run, on subgame, whole-game and
+    cold solves alike; _retype's reset must leave them alone."""
+    expected = [solver.GAP_TOL, False, False, False]
+    runs = []
+    original = solver.milp
+
+    def checking(model, *args, **kwargs):
+        assert _mip_settings(model) == expected
+        result = original(model, *args, **kwargs)
+        assert _mip_settings(model) == expected
+        runs.append(result[0])
+        return result
+
+    monkeypatch.setattr(solver, "milp", checking)
+    path = Path(__file__).resolve().parent.parent / "demos" \
+        / "two_stage_batch.json"
+    config = ExperimentConfig.from_json(path.read_text(encoding="utf-8"))
+    for spec in config.games:
+        run_single(spec.materialize(), config, spec.describe())
+    problem = goofspiel(22).problem
+    solve_milp(problem)
+    solve_milp(problem, time_limit=5.0)
+    assert len(runs) > 2 and set(runs) == {OPTIMAL}
+
+
+@pytest.mark.parametrize("index", [22, 43, 60])
+def test_a_cold_mip_reaches_the_warm_started_optimum(goofspiel, milp_calls,
+                                                     index):
+    """Without feasibility jump a MIP with no warm start still finds an
+    incumbent, and the optimum."""
+    model = goofspiel(index)
+    warm = solve_milp(model.problem, warm=model.warm)
+    cold = solve_milp(model.problem)
+    assert (warm.status, cold.status) == (OPTIMAL, OPTIMAL)
+    assert len(milp_calls) == 2
+    assert cold.objective == warm.objective
+    _assert_exact_binaries(model.problem, cold)
+
+
+def test_a_capped_cold_mip_still_finds_an_incumbent(leduc_uniform,
+                                                    milp_calls):
+    """Uniform subgame 30 with no warm start: HiGHS's central rounding finds
+    an incumbent at the root, about 0.2 s into the run on 2 shared cores, so
+    a 0.5 s cap ends with one rather than with none."""
+    model = leduc_uniform(30)
+    cold = solve_milp(model.problem, time_limit=0.5)
+    assert cold.status == INCUMBENT_TIME_LIMIT
+    assert len(milp_calls) == 1
+    _assert_exact_binaries(model.problem, cold)
+    assert solver.satisfies(model.problem, cold.assignment)
+    assert cold.objective <= cold.root_bound
+    assert 0.0 < cold.bound_gap < np.inf

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -227,3 +228,45 @@ def test_bad_relation_is_refused_when_added():
     with pytest.raises(SolverError, match="bad relation '<'"):
         lp.add_constraint({x: 1.0}, "<", 1.0, name="strict")
     assert lp.rows == []
+
+
+def _one_variable_lp(objective=1.0, lower=0.0, upper=1.0, rhs=1.0):
+    lp = LinearProgram()
+    x = lp.add_var("x", lower, upper, objective=objective)
+    lp.add_constraint({x: 1.0}, "<=", rhs, name="cap")
+    return lp
+
+
+@pytest.mark.parametrize("lp,message", [
+    (_one_variable_lp(objective=np.nan), "variable 'x': non-finite objective"),
+    (_one_variable_lp(objective=np.inf), "variable 'x': non-finite objective"),
+    (_one_variable_lp(rhs=np.nan),
+     "constraint 'cap': non-finite right-hand side"),
+    (_one_variable_lp(rhs=np.inf),
+     "constraint 'cap': non-finite right-hand side"),
+    (_one_variable_lp(rhs=-np.inf),
+     "constraint 'cap': non-finite right-hand side"),
+    (_one_variable_lp(lower=np.nan), "variable 'x': NaN bound"),
+    (_one_variable_lp(upper=np.nan), "variable 'x': NaN bound"),
+], ids=["nan-objective", "inf-objective", "nan-rhs", "inf-rhs", "-inf-rhs",
+        "nan-lower", "nan-upper"])
+@pytest.mark.parametrize("solve", [
+    solve_lp, lambda lp: solve_milp(MilpProblem(lp, ()))])
+def test_non_finite_lp_data_is_refused_before_any_lp(monkeypatch, lp,
+                                                     message, solve):
+    monkeypatch.setattr(solver, "linprog", _forbid_lp)
+    with pytest.raises(SolverError, match=re.escape(message)):
+        solve(lp)
+
+
+def test_non_finite_data_is_refused_by_the_incumbent_check():
+    with pytest.raises(SolverError, match="non-finite right-hand side"):
+        solver.satisfies(MilpProblem(_one_variable_lp(rhs=np.nan), ()),
+                         np.zeros(1))
+
+
+def test_infinite_column_bounds_stay_legal():
+    solution = solve_lp(_one_variable_lp(lower=-np.inf, upper=np.inf))
+    assert (solution.status, solution.objective) == (OPTIMAL, 1.0)
+    unbounded = _one_variable_lp(objective=-1.0, lower=-np.inf, upper=np.inf)
+    assert solve_lp(unbounded).status == UNBOUNDED
