@@ -102,15 +102,9 @@ def transform_subgame(game: GameTree, sub: Subgame,
 
     # Attribute every head member to its initial state; group the kept
     # initial states by the follower entry sequence of the heads they feed.
-    initial_set = set(sub.initial)
     kept_set = set(kept)
     groups = group_heads(game, sub)
     tp2 = game.treeplex(FOLLOWER)
-
-    def initial_ancestor(nid: int) -> int:
-        while nid not in initial_set:
-            nid = game.node(nid).parent
-        return nid
 
     group_of_initial: dict[int, int] = {}
     group_initials: dict[int, set[int]] = {}
@@ -118,7 +112,7 @@ def transform_subgame(game: GameTree, sub: Subgame,
     for entry, heads in groups.items():
         for infoset in heads:
             for member in game.infoset(infoset).members:
-                h = initial_ancestor(member)
+                h = sub.entry[member]
                 if tp2.node_seq[h] != entry:
                     raise GameError(
                         f"subgame {sub.index}: head infoset {infoset} entry "
@@ -154,7 +148,7 @@ def transform_subgame(game: GameTree, sub: Subgame,
 
     def follower_entry_factor(h: int) -> float:
         for z in sub.terminals:
-            if tp2.node_seq[initial_ancestor(z)] == tp2.node_seq[h] and \
+            if tp2.node_seq[sub.entry[z]] == tp2.node_seq[h] and \
                     quantities.ctilde[z] > 0.0:
                 return quantities.cj[z] / quantities.ctilde[z]
         return 1.0

@@ -96,6 +96,11 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise GameFileError(f"{path}: {message}")
 
 
+def _typed(value, kinds=(int, float)) -> bool:
+    """Of the given types; a boolean is never a number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @_collector_paused()
 def parse_game(text: str) -> GameTree:
     try:
@@ -120,7 +125,7 @@ def parse_game(text: str) -> GameTree:
         path = f"$.nodes[{i}]"
         _require(isinstance(rec, dict), path, "must be an object")
         kind = rec.get("kind")
-        _require(kind in _NODE_KEYS, f"{path}.kind",
+        _require(isinstance(kind, str) and kind in _NODE_KEYS, f"{path}.kind",
                  "expected terminal|chance|player")
         allowed = _NODE_KEYS[kind]
         unknown = set(rec) - allowed
@@ -129,7 +134,8 @@ def parse_game(text: str) -> GameTree:
         missing = allowed - set(rec)
         _require(not missing, f"{path}.{sorted(missing)[0]}" if missing else path,
                  "missing field")
-        _require(rec["id"] == i, f"{path}.id", f"expected {i} (dense id order)")
+        _require(_typed(rec["id"], int) and rec["id"] == i, f"{path}.id",
+                 f"expected {i} (dense id order)")
     # Each node's fields after id and parent; the parents come from the
     # children lists, so GameNode records are made once all are read.
     fields: list[tuple] = [None] * len(raw_nodes)  # type: ignore[list-item]
@@ -139,8 +145,9 @@ def parse_game(text: str) -> GameTree:
         kind = rec["kind"]
         if kind == "terminal":
             pay = rec["payoffs"]
-            _require(isinstance(pay, list) and len(pay) == 2, f"{path}.payoffs",
-                     "expected [leader, follower]")
+            _require(isinstance(pay, list) and len(pay) == 2
+                     and all(map(_typed, pay)), f"{path}.payoffs",
+                     "expected [leader, follower] numbers")
             fields[i] = ("terminal", CHANCE, None, (), (), (),
                          (float(pay[0]), float(pay[1])))
             continue
@@ -148,20 +155,25 @@ def parse_game(text: str) -> GameTree:
         _require(isinstance(children, list) and children, f"{path}.children",
                  "must be a non-empty array")
         for child in children:
-            _require(isinstance(child, int) and 0 <= child < len(raw_nodes),
+            _require(_typed(child, int) and 0 <= child < len(raw_nodes),
                      f"{path}.children", f"child {child} out of range")
             _require(child not in parents, f"{path}.children",
                      f"node {child} has two parents")
             parents[child] = i
-        actions = tuple(str(a) for a in rec["actions"])
+        _require(isinstance(rec["actions"], list) and all(
+            isinstance(a, str) for a in rec["actions"]),
+            f"{path}.actions", "expected an array of strings")
+        actions = tuple(rec["actions"])
         if kind == "chance":
+            probs = rec["chance_probs"]
+            _require(isinstance(probs, list) and all(map(_typed, probs)),
+                     f"{path}.chance_probs", "expected an array of numbers")
             fields[i] = ("chance", CHANCE, None, actions, tuple(children),
-                         tuple(float(p) for p in rec["chance_probs"]),
-                         (0.0, 0.0))
+                         tuple(float(p) for p in probs), (0.0, 0.0))
         else:
             _require(rec["player"] in ("leader", "follower"), f"{path}.player",
                      "expected leader|follower")
-            _require(isinstance(rec["infoset"], int) and rec["infoset"] >= 0,
+            _require(_typed(rec["infoset"], int) and rec["infoset"] >= 0,
                      f"{path}.infoset", "expected a non-negative integer")
             player = LEADER if rec["player"] == "leader" else FOLLOWER
             fields[i] = ("player", player, rec["infoset"], actions,

@@ -72,13 +72,22 @@ UPPER = "upper"
 class Subgame:
     index: int
     initial: tuple[int, ...]
-    nodes: frozenset[int]
+    # Every node inside -> the initial state it lies below, in walk order
+    # (initial states ascending, each subtree depth-first).  Play enters
+    # the subgame only through its initial states, so a node's sequences
+    # outside the subgame are its initial state's.
+    entry: dict[int, int]
     terminals: tuple[int, ...]
     infosets: dict[int, tuple[int, ...]]  # player -> infoset ids inside
     heads: dict[int, tuple[int, ...]]     # player -> head infoset ids
     # player -> inside id -> the head above it (itself at a head), in
     # top-down order: sorted by entry sequence, so parents come first.
     head_of: dict[int, dict[int, int]]
+
+    @property
+    def nodes(self):
+        """The node ids inside, a set-like view of entry."""
+        return self.entry.keys()
 
 
 @dataclass(frozen=True)
@@ -92,26 +101,28 @@ class SubgamePartition:
         return iter(self.subgames)
 
 
-def _descendants(game: GameTree, roots: list[int]) -> frozenset[int]:
-    seen = set()
-    stack = list(roots)
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            raise GameError(f"node {nid}: duplicated across initial states")
-        seen.add(nid)
-        stack.extend(game.node(nid).children)
-    return frozenset(seen)
-
-
-def _build_subgame(game: GameTree, index: int, initial: list[int]) -> Subgame:
-    nodes = _descendants(game, initial)
-    terminals = tuple(sorted(n for n in nodes if game.node(n).is_terminal))
+def _build_subgame(game: GameTree, index: int, initial: list[int],
+                   owner: dict[int, int]) -> Subgame:
+    """Walk the subtrees below initial once, claiming each node in owner
+    (node -> subgame index, shared by the whole partition)."""
+    initial = sorted(initial)
+    entry: dict[int, int] = {}
     member_infosets: dict[int, set[int]] = {LEADER: set(), FOLLOWER: set()}
-    for nid in nodes:
-        node = game.node(nid)
-        if node.kind == "player":
-            member_infosets[node.player].add(node.infoset)
+    for h in initial:
+        stack = [h]
+        while stack:
+            nid = stack.pop()
+            if nid in owner:
+                raise GameError(
+                    f"node {nid}: duplicated across initial states"
+                    if owner[nid] == index else
+                    f"node {nid} belongs to subgames {owner[nid]} and {index}")
+            owner[nid], entry[nid] = index, h
+            node = game.node(nid)
+            if node.kind == "player":
+                member_infosets[node.player].add(node.infoset)
+            stack.extend(node.children)
+    terminals = tuple(sorted(n for n in entry if game.node(n).is_terminal))
     infosets: dict[int, tuple[int, ...]] = {}
     heads: dict[int, tuple[int, ...]] = {}
     head_of: dict[int, dict[int, int]] = {}
@@ -120,7 +131,7 @@ def _build_subgame(game: GameTree, index: int, initial: list[int]) -> Subgame:
         inside_set = member_infosets[player]
         for infoset_id in inside_set:
             outside = [m for m in game.infosets[infoset_id].members
-                       if m not in nodes]
+                       if m not in entry]
             if outside:
                 raise GameError(
                     f"subgame {index}: infoset {infoset_id} straddles the "
@@ -132,20 +143,9 @@ def _build_subgame(game: GameTree, index: int, initial: list[int]) -> Subgame:
         for i in sorted(infosets[player], key=tp.entry_seq.__getitem__):
             own[i] = own.get(tp.sequences[tp.entry_seq[i]].parent_infoset, i)
         heads[player] = tuple(sorted(i for i, h in own.items() if i == h))
-    return Subgame(index=index, initial=tuple(sorted(initial)), nodes=nodes,
+    return Subgame(index=index, initial=tuple(initial), entry=entry,
                    terminals=terminals, infosets=infosets, heads=heads,
                    head_of=head_of)
-
-
-def check_partition(game: GameTree, partition: SubgamePartition) -> None:
-    """Disjointness across subgames (closure/containment hold by build)."""
-    seen: dict[int, int] = {}
-    for sub in partition:
-        for nid in sub.nodes:
-            if nid in seen:
-                raise GameError(
-                    f"node {nid} belongs to subgames {seen[nid]} and {sub.index}")
-            seen[nid] = sub.index
 
 
 def partition_subgames(game: GameTree, scheme: str, *,
@@ -156,8 +156,14 @@ def partition_subgames(game: GameTree, scheme: str, *,
 
     Schemes: "whole-game", "metadata" (fixture-bundled roots), "explicit"
     (initial_nodes given), "two-stage", "goofspiel" (needs m = rounds left),
-    "leduc" (round-two public states).
+    "leduc" (round-two public states).  m and initial_nodes are refused
+    on any scheme but the one that reads them.
     """
+    for key, value, reader in (("m", m, "goofspiel"),
+                               ("initial_nodes", initial_nodes, "explicit")):
+        if value is not None and scheme != reader:
+            raise GameError(f"the {scheme!r} scheme does not read {key!r}; "
+                            f"only {reader!r} does")
     name = game.metadata.get("name")
     if scheme == "whole-game":
         groups = [[game.root]]
@@ -182,14 +188,13 @@ def partition_subgames(game: GameTree, scheme: str, *,
         groups = _leduc_groups(game)
     else:
         raise GameError(f"unknown partition scheme {scheme!r}")
-    subgames = tuple(_build_subgame(game, i, list(group))
+    owner: dict[int, int] = {}
+    subgames = tuple(_build_subgame(game, i, group, owner)
                      for i, group in enumerate(groups))
-    partition = SubgamePartition(subgames)
-    check_partition(game, partition)
     if scheme in ("explicit", "metadata"):
         for sub in subgames:
             _check_protected(game, sub)
-    return partition
+    return SubgamePartition(subgames)
 
 
 def _check_protected(game: GameTree, sub: Subgame) -> None:
@@ -228,38 +233,32 @@ def _checked_groups(game: GameTree, groups, source: str) -> list[list[int]]:
 
 
 def _goofspiel_groups(game: GameTree, m: Optional[int]) -> list[list[int]]:
+    """The nodes 2(n - m) player levels below each root child, keyed by
+    the first n - m characters of its perm label (n is the label's length)
+    and the action labels on the path: prizes revealed, then bids made."""
     if game.metadata.get("name") != "goofspiel":
         raise GameError("goofspiel scheme needs a goofspiel game")
     if m is None:
         raise GameError("goofspiel scheme needs m (rounds remaining)")
-    n = game.metadata["params"]["n"]
-    perms = [tuple(p) for p in game.metadata["perms"]]
+    root = game.node(game.root)
+    n = len(root.actions[0]) if root.actions else 0
     if not 1 <= m <= n:
         raise GameError("m must lie in 1..n")
     if m == n:
         return [[game.root]]
     done = n - m
     groups: dict[tuple, list[int]] = {}
-    root = game.node(game.root)
 
-    def walk(nid: int, perm: tuple, rounds: int, bids: tuple,
-             hand1: tuple, hand2: tuple) -> None:
-        if rounds == done:
-            key = (perm[:done], bids)
+    def walk(nid: int, key: tuple) -> None:
+        if len(key) == 1 + 2 * done:
             groups.setdefault(key, []).append(nid)
             return
-        lead = game.node(nid)
-        for i1, child1 in enumerate(lead.children):
-            foll = game.node(child1)
-            for i2, child2 in enumerate(foll.children):
-                c1, c2 = hand1[i1], hand2[i2]
-                walk(child2, perm, rounds + 1, bids + ((c1, c2),),
-                     tuple(c for c in hand1 if c != c1),
-                     tuple(c for c in hand2 if c != c2))
+        node = game.node(nid)
+        for label, child in zip(node.actions, node.children):
+            walk(child, key + (label,))
 
-    hand = tuple(range(1, n + 1))
-    for perm, child in zip(perms, root.children):
-        walk(child, perm, 0, (), hand, hand)
+    for label, child in zip(root.actions, root.children):
+        walk(child, (label[:done],))
     return [groups[key] for key in sorted(groups)]
 
 
@@ -315,25 +314,16 @@ def compute_subgame_quantities(game: GameTree, partition: SubgamePartition,
     reach = game.chance_reach()
     out = []
     for sub in partition:
-        pre1: dict[int, int] = {}        # member node -> outside leader seq
-        pre2: dict[int, int] = {}        # member node -> outside follower seq
-        omega: dict[int, float] = {}
-        for h in sub.initial:
-            p1 = int(tp1.node_seq[h])
-            p2 = int(tp2.node_seq[h])
-            omega[h] = float(reach[h] * r1_bp.probs[p1])
-            stack = [h]
-            while stack:
-                nid = stack.pop()
-                pre1[nid] = p1
-                pre2[nid] = p2
-                stack.extend(game.node(nid).children)
+        omega = {h: float(reach[h] * r1_bp.probs[tp1.node_seq[h]])
+                 for h in sub.initial}
         ctilde: dict[int, float] = {}
         cj: dict[int, float] = {}
         for z in sub.terminals:
-            ct = float(reach[z] * r1_bp.probs[pre1[z]])
+            # The outside sequences of z are its initial state's.
+            h = sub.entry[z]
+            ct = float(reach[z] * r1_bp.probs[tp1.node_seq[h]])
             ctilde[z] = ct
-            cj[z] = ct * float(r2_bp.probs[pre2[z]])
+            cj[z] = ct * float(r2_bp.probs[tp2.node_seq[h]])
         total_omega = sum(omega.values())
         eta = (1.0 / total_omega) if total_omega > 0.0 else None
         out.append(SubgameQuantities(sub.index, omega, eta, ctilde, cj))

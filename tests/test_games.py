@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,31 @@ def test_parse_rejects_bad_node_fields():
     text = serialize_game(two_subgame_exit_game())
     with pytest.raises(GameFileError, match=r"\$\.nodes\[0\]"):
         parse_game(text.replace('"kind": "chance"', '"kind": "chancy"', 1))
+
+
+@pytest.mark.parametrize("node,field,value", [
+    (1, "actions", None),
+    (0, "chance_probs", None),
+    (1, "actions", "es"),
+    (1, "actions", [0, 1]),
+    (0, "chance_probs", ["0.5", "0.5"]),
+    (0, "chance_probs", [True, 0.0]),
+    (2, "payoffs", ["1.5", 0.0]),
+    (2, "payoffs", [True, 0.0]),
+    (1, "id", True),
+    (3, "infoset", True),
+    (0, "children", [True, 7]),
+    (1, "kind", ["player"]),
+], ids=["actions-null", "chance-probs-null", "actions-string",
+        "actions-numeric", "chance-probs-strings", "chance-probs-true",
+        "payoffs-string", "payoffs-true", "id-true", "infoset-true",
+        "child-true", "kind-array"])
+def test_parse_refuses_mistyped_fields_naming_the_path(node, field, value):
+    doc = json.loads(serialize_game(two_subgame_exit_game()))
+    doc["nodes"][node][field] = value
+    path = rf"\$\.nodes\[{node}\]\.{field}"
+    with pytest.raises(GameFileError, match=path):
+        parse_game(json.dumps(doc))
 
 
 def test_two_stage_terminal_count_and_mixture():

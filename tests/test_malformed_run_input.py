@@ -71,6 +71,14 @@ def _with_plan(tmp_path, command, *extra):
     ("search", ["--beta", "inf"], "beta"),
     ("gadget", ["--alpha", "1", "--beta", "inf"], "beta"),
     ("run", json.dumps(GOOD_CONFIG)[:-1] + ', "beta": Infinity}', "beta"),
+    ("run", {**GOOD_CONFIG, "m": 2}, "'m'"),
+    ("search", ["--scheme", "metadata", "--m", "2"], "'m'"),
+    ("search", ["--scheme", "two-stage", "--m", "7", "--initial-nodes",
+                "[[1]]"], "'m'"),
+    ("search", ["--scheme", "metadata", "--initial-nodes", "[[3]]"],
+     "'initial_nodes'"),
+    ("gadget", ["--scheme", "whole-game", "--initial-nodes", "[[0]]"],
+     "'initial_nodes'"),
 ], ids=["config-not-object", "game-without-family", "alpha-string",
         "time-limit-string", "time-limit-nan", "full-game-string",
         "game-parameter-string", "game-parameter-bool", "unknown-key",
@@ -82,7 +90,9 @@ def _with_plan(tmp_path, command, *extra):
         "search-workers-0",
         "search-time-limit-negative", "search-time-limit-nan",
         "search-beta-nan", "search-beta-inf", "gadget-beta-inf",
-        "run-beta-inf"])
+        "run-beta-inf", "run-m-unread", "search-m-unread",
+        "search-m-and-roots-unread", "search-roots-unread",
+        "gadget-roots-unread"])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, command,
                                                 given, key):
     if command == "run":
